@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chan import QuantumChannel
+from .chan import QuantumChannel, covariance_residual
 from .metrics import (
     GeneratorSet,
     deviation_avg,
@@ -22,16 +22,16 @@ from .metrics import (
     unitarity_jamiolkowski,
     unitarity_su2_closed,
 )
-from .numkit import TOL, dagger
+from .numkit import TOL
 from .su2cov import CovariantMixture
 from .u1cov import U1BlockChannel, u1_deviation, u1_structure_stats
 
 __all__ = [
     "BoundCheck",
-    "generator_covariance_residual",
     "upper_bound_general",
     "lower_bound_multiplicity_free",
     "su2_bounds",
+    "u1_cap",
     "u1_bound",
     "diamond_bound_given_value",
 ]
@@ -64,18 +64,6 @@ def _op_norm(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def generator_covariance_residual(channel: QuantumChannel, gens: GeneratorSet) -> float:
-    """Commutator residual of J(E) with the generators of U_out (x) U_in^*."""
-    j = channel.jamiolkowski
-    eye_in = np.eye(channel.d_in)
-    eye_out = np.eye(channel.d_out)
-    res = 0.0
-    for g_in, g_out in zip(gens.j_in, gens.j_out):
-        gen = np.kron(np.asarray(g_out), eye_in) - np.kron(eye_out, np.asarray(g_in).conj())
-        res = max(res, float(np.max(np.abs(j @ gen - gen @ j))))
-    return res
-
-
 def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet,
                         tol: float = TOL.tol_eq) -> BoundCheck:
     """Deviation <= 2 n d (d-1) max_k (||J_out^k||_1 + ||J_in^k||_1)^2 (1 - u).
@@ -84,7 +72,7 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet,
     requires the maximally-mixed output purity condition, and the check is
     flagged not-applicable when that condition fails.
     """
-    res = generator_covariance_residual(channel, gens)
+    res = covariance_residual(channel, gens.j_in, gens.j_out)
     if res > 100 * tol:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     applicable = True
@@ -135,17 +123,22 @@ def su2_bounds(mix: CovariantMixture, tol: float = TOL.tol_eq) -> tuple[BoundChe
     )
 
 
+def u1_cap(d: int, g: int, width: int, delta: float, u: float,
+           tol: float = TOL.tol_eq) -> BoundCheck:
+    """Energy-conservation cap for a d-level spectrum with pair degeneracy g:
+    u <= 1 - g(d-g)/(d-1) sqrt(2/(d(d+1))) sqrt(Dev)/width."""
+    coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
+    return BoundCheck.of("u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta), tol=tol)
+
+
 def u1_bound(ch: U1BlockChannel, tol: float = TOL.tol_eq) -> BoundCheck:
     """Energy-conservation trade-off: unitarity is capped once the channel
-    moves populations, u <= 1 - g(d-g)/(d-1) sqrt(2/(d(d+1))) sqrt(Dev)/width."""
+    moves populations (see :func:`u1_cap`)."""
     spec = ch.spectrum
     stats = u1_structure_stats(ch)
-    d = spec.d
     delta = u1_deviation(spec, ch.population_matrix())
     u = unitarity_jamiolkowski(ch.to_channel())
-    rhs = 1 - stats.g * (d - stats.g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) \
-        * np.sqrt(delta) / stats.width
-    return BoundCheck.of("u1_unitarity_upper", u, rhs, tol=tol)
+    return u1_cap(spec.d, stats.g, stats.width, delta, u, tol=tol)
 
 
 def diamond_bound_given_value(channel: QuantumChannel, gens: GeneratorSet,

@@ -18,7 +18,7 @@ from .numkit import (
     TOL,
     Tolerances,
     dagger,
-    ginibre,
+    haar_isometry,
     partial_trace,
     reshuffle,
     unvectorize,
@@ -28,6 +28,7 @@ from .numkit import (
 __all__ = [
     "ChannelValidationError",
     "QuantumChannel",
+    "covariance_residual",
     "identity_channel",
     "unitary_channel",
     "depolarizing_channel",
@@ -85,6 +86,10 @@ class QuantumChannel:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        given = next(x for x in (self._kraus, self._liouville, self._jamiolkowski,
+                                 self._stinespring) if x is not None)
+        if not np.all(np.isfinite(given)):
+            raise ChannelValidationError("channel representation has non-finite entries")
         j = self.jamiolkowski
         herm = float(np.max(np.abs(j - dagger(j))))
         if herm > self.tol.tol_herm:
@@ -256,10 +261,20 @@ def random_channel(d_in: int, d_out: int, kraus_rank: int, seed) -> QuantumChann
     """A Haar-ish random channel from a random Stinespring isometry."""
     if d_out * kraus_rank < d_in:
         raise ValueError("need d_out * kraus_rank >= d_in for an isometry")
-    g = ginibre(d_out * kraus_rank, d_in, seed)
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return QuantumChannel(d_in, d_out, stinespring=q)
+    return QuantumChannel(d_in, d_out, stinespring=haar_isometry(d_out * kraus_rank, d_in, seed))
+
+
+def covariance_residual(channel: QuantumChannel, gens_in, gens_out) -> float:
+    """Largest commutator norm of J(E) with the generators of U_out (x) U_in^*
+    formed from paired input and output generators (zero iff E is covariant)."""
+    j = channel.jamiolkowski
+    eye_in = np.eye(channel.d_in)
+    eye_out = np.eye(channel.d_out)
+    res = 0.0
+    for g_in, g_out in zip(gens_in, gens_out):
+        gen = np.kron(np.asarray(g_out), eye_in) - np.kron(eye_out, np.asarray(g_in).conj())
+        res = max(res, float(np.max(np.abs(j @ gen - gen @ j))))
+    return res
 
 
 def max_action_deviation(a: QuantumChannel, b: QuantumChannel) -> float:

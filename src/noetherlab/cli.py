@@ -1,8 +1,7 @@
 """Command-line surface: channel construction, trade-off sweeps, verification.
 
 Exit codes: 0 success, 1 invariant or bound failure, 2 usage error.
-Sweep rows are emitted in deterministic parameter order regardless of how
-the worker pool schedules them; NOETHERLAB_THREADS caps the pool size.
+Sweep rows are emitted in deterministic parameter order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from . import metrics
 from . import su2cov
 from . import u1cov
 from .chan import ChannelValidationError, QuantumChannel, max_action_deviation, random_channel
-from .numkit import parallel_map
+from .numkit import TOL, haar_pure, parallel_map
 from .su2rep import SpinJ
 
 __all__ = ["TradeoffRecord", "main", "simplex_grid", "su2_tradeoff_records", "u1_tradeoff_records"]
@@ -75,10 +74,18 @@ def simplex_grid(n_parts: int, n_steps: int):
         yield tuple(c / n_steps for c in counts)
 
 
+def _grid_steps(grid: float) -> int:
+    """The step count n of a sweep grid 1/n."""
+    n_steps = round(1.0 / grid)
+    if abs(1.0 / grid - n_steps) > TOL.tol_eq:
+        raise ValueError(f"grid must be 1/n for an integer n, got {grid}")
+    return n_steps
+
+
 def su2_tradeoff_records(two_j: int, grid: float) -> list[TradeoffRecord]:
     spin = SpinJ(two_j)
     n = two_j + 1
-    n_steps = round(1.0 / grid)
+    n_steps = _grid_steps(grid)
 
     def one(weights) -> TradeoffRecord:
         mix = su2cov.CovariantMixture(spin, spin, weights)
@@ -98,23 +105,19 @@ def u1_tradeoff_records(levels, grid: float) -> list[TradeoffRecord]:
     spec = u1cov.EnergySpectrum(tuple(levels))
     if spec.d != 2:
         raise ValueError("the population-grid sweep is defined for two-level spectra")
-    n_steps = round(1.0 / grid)
+    n_steps = _grid_steps(grid)
     values = [k / n_steps for k in range(n_steps + 1)]
-    d = spec.d
     g = spec.degeneracy()
-    width = spec.width
-    coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
 
     def one(pp) -> TradeoffRecord:
         p00, p11 = pp
         pop = np.array([[p00, 1.0 - p11], [1.0 - p00, p11]])
         delta = u1cov.u1_deviation(spec, pop)
         u = u1cov.optimal_unitarity_for_population(spec, pop)
-        upper = 1.0 - coeff * np.sqrt(delta)
+        check = bnd.u1_cap(spec.d, g, spec.width, delta, u)
         params = {"levels": ";".join(str(x) for x in spec.levels), "p00": p00, "p11": p11}
         return TradeoffRecord(params=params, delta=delta, unitarity=u,
-                              bound_lower=0.0, bound_upper=float(upper),
-                              ok=bool(u <= upper + 1e-9))
+                              bound_lower=0.0, bound_upper=check.rhs, ok=check.satisfied)
 
     return parallel_map(one, [(a, b) for a in values for b in values])
 
@@ -243,8 +246,7 @@ def _check_conservation_split(rng: np.random.Generator) -> dict:
                               kraus=su2cov.extremal_kraus(spin, spin, two_l)).complementary()
         envs = su2cov.environment_spin_generators(two_l)
         for _ in range(5):
-            v = rng.standard_normal(spin.dim) + 1j * rng.standard_normal(spin.dim)
-            v /= np.linalg.norm(v)
+            v = haar_pure(spin.dim, rng)
             rho = np.outer(v, v.conj())
             p_in = su2cov.spin_polarization(rho, spin)
             p_out = su2cov.spin_polarization(ch.apply(rho), spin)
@@ -289,11 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--grid", type=float, required=True)
     tr.add_argument("--out", default=None)
     tr.add_argument("--format", choices=("csv", "json"), default="csv")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.set_defaults(func=_cmd_su2_tradeoff)
 
     ka = su2_sub.add_parser("kappa", help="optimal inversion/amplification factors")
     ka.add_argument("--two-jA", type=int, required=True)
     ka.add_argument("--two-jB", type=int, required=True)
+    ka.set_defaults(func=_cmd_su2_kappa)
 
     ex = su2_sub.add_parser("channel", help="export an extremal channel")
     ex.add_argument("--two-jA", type=int, required=True)
@@ -302,6 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", default=None)
     ex.add_argument("--repr", dest="representation",
                     choices=("kraus", "liouville", "jamiolkowski"), default="kraus")
+    ex.set_defaults(func=_cmd_su2_channel)
 
     u1 = sub.add_parser("u1", help="time-translation covariant channels")
     u1_sub = u1.add_subparsers(dest="command", required=True)
@@ -311,10 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ut.add_argument("--grid", type=float, required=True)
     ut.add_argument("--out", default=None)
     ut.add_argument("--format", choices=("csv", "json"), default="csv")
+    ut.set_defaults(func=_cmd_u1_tradeoff)
 
     ub = u1_sub.add_parser("build", help="build an extremal channel from JSON spec")
     ub.add_argument("--json", dest="json_path", required=True)
     ub.add_argument("--out", default=None)
+    ub.set_defaults(func=_cmd_u1_build)
 
     ver = sub.add_parser("verify", help="verification suite")
     ver_sub = ver.add_subparsers(dest="command", required=True)
@@ -323,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--samples", type=int, default=20_000)
     va.add_argument("--inject-corrupt", action="store_true",
                     help="corrupt one channel fixture to exercise failure reporting")
+    va.set_defaults(func=_cmd_verify_all)
 
     return parser
 
@@ -331,10 +338,14 @@ def _cmd_su2_tradeoff(args) -> int:
     if args.two_j < 1 or not 0.0 < args.grid <= 1.0:
         print("error: need --two-j >= 1 and 0 < --grid <= 1", file=sys.stderr)
         return 2
-    records = su2_tradeoff_records(args.two_j, args.grid)
+    try:
+        records = su2_tradeoff_records(args.two_j, args.grid)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     _write_records(records, args.format, args.out)
     n_bad = sum(not r.ok for r in records)
-    print(f"# su2 tradeoff two_j={args.two_j} grid={args.grid} seed={args.seed}: "
+    print(f"# su2 tradeoff two_j={args.two_j} grid={args.grid}: "
           f"{len(records)} records, {n_bad} bound violations", file=sys.stderr)
     return 0 if n_bad == 0 else 1
 
@@ -389,7 +400,7 @@ def _cmd_u1_build(args) -> int:
         ch = u1cov.build_extremal(spec, np.array(obj["gamma"], dtype=float),
                                   phases=obj.get("phases"))
         channel = ch.to_channel()
-    except (ValueError, KeyError, OSError, ChannelValidationError) as err:
+    except (ValueError, TypeError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     check = bnd.u1_bound(ch)
@@ -414,19 +425,7 @@ def _cmd_verify_all(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.group == "su2" and args.command == "tradeoff":
-        return _cmd_su2_tradeoff(args)
-    if args.group == "su2" and args.command == "kappa":
-        return _cmd_su2_kappa(args)
-    if args.group == "su2" and args.command == "channel":
-        return _cmd_su2_channel(args)
-    if args.group == "u1" and args.command == "tradeoff":
-        return _cmd_u1_tradeoff(args)
-    if args.group == "u1" and args.command == "build":
-        return _cmd_u1_build(args)
-    if args.group == "verify" and args.command == "all":
-        return _cmd_verify_all(args)
-    raise AssertionError("unreachable")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chan import QuantumChannel
 from .metrics import GeneratorSet, delta_generators
-from .numkit import vectorize
+from .numkit import haar_pure_batch, vectorize
 
 __all__ = ["McEstimate", "mc_unitarity", "mc_deviation"]
 
@@ -31,11 +31,6 @@ class McEstimate:
 
     def within(self, reference: float, n_sigma: float = 3.0, floor: float = 1e-12) -> bool:
         return abs(self.mean - reference) <= n_sigma * self.std_error + floor
-
-
-def _haar_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _reduce(chunks_fn, samples: int, seed: int) -> McEstimate:
@@ -65,7 +60,7 @@ def mc_unitarity(channel: QuantumChannel, samples: int, seed: int) -> McEstimate
     mixed_vec = vectorize(np.eye(d) / d)
 
     def chunk(size: int, rng: np.random.Generator) -> np.ndarray:
-        psi = _haar_rows(d, size, rng)
+        psi = haar_pure_batch(d, size, rng)
         # rows are vec(psi psi^dag - I/d); the output is Hermitian, so
         # tr(out^2) is just the squared 2-norm of its vectorization
         rows = np.einsum("ni,nj->nij", psi, psi.conj()).reshape(size, d * d) - mixed_vec
@@ -81,7 +76,7 @@ def mc_deviation(channel: QuantumChannel, gens: GeneratorSet, samples: int, seed
     deltas = delta_generators(channel, gens)
 
     def chunk(size: int, rng: np.random.Generator) -> np.ndarray:
-        psi = _haar_rows(d, size, rng)
+        psi = haar_pure_batch(d, size, rng)
         acc = np.zeros(size)
         for dj in deltas:
             ev = np.einsum("ni,ij,nj->n", psi.conj(), dj, psi)

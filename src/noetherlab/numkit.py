@@ -10,8 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +30,10 @@ __all__ = [
     "assert_density_matrix",
     "as_rng",
     "haar_pure",
+    "haar_isometry",
     "haar_unitary",
     "ginibre",
     "mat_exp_skew_hermitian",
-    "thread_count",
     "parallel_map",
 ]
 
@@ -191,12 +189,17 @@ def ginibre(rows: int, cols: int, seed) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R."""
-    q, r = np.linalg.qr(ginibre(d, d, seed))
+def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
+    """Haar-random isometry via QR of a rows x cols Ginibre matrix with phase-fixed R."""
+    q, r = np.linalg.qr(ginibre(rows, cols, seed))
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-random d x d unitary."""
+    return haar_isometry(d, d, seed)
 
 
 def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0, tol: float = TOL.tol_herm) -> np.ndarray:
@@ -208,19 +211,6 @@ def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0, tol: float = TOL.tol_h
     return (v * np.exp(1j * t * w)) @ dagger(v)
 
 
-def thread_count() -> int:
-    """Worker count for sweeps; capped by the NOETHERLAB_THREADS env var."""
-    env = os.environ.get("NOETHERLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def parallel_map(fn, items):
-    """Map fn over items on a thread pool; results in input order."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items in input order: the per-row loop of the sweeps."""
+    return [fn(x) for x in items]

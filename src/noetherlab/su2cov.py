@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chan import QuantumChannel
-from .numkit import TOL, Tolerances, dagger, vectorize
-from .su2rep import SpinJ, cg, ito_basis, spin_norm, spin_operators
+from .chan import QuantumChannel, covariance_residual
+from .numkit import TOL, Tolerances, vectorize
+from .su2rep import SpinJ, cg, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
@@ -27,7 +27,6 @@ __all__ = [
     "extremal_channel",
     "extremal_kraus",
     "covariant_channel",
-    "covariance_residual",
     "decompose",
     "twirl",
     "scaling_coefficient",
@@ -140,23 +139,10 @@ def covariant_channel(mix: CovariantMixture, tol: Tolerances = TOL) -> QuantumCh
     return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j, tol=tol)
 
 
-def covariance_residual(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> float:
-    """Largest commutator norm of J(E) with the symmetry generators of
-    U_out (x) U_in^* (zero iff the channel is rotation covariant)."""
-    j = channel.jamiolkowski
-    res = 0.0
-    eye_in = np.eye(spin_in.dim)
-    eye_out = np.eye(spin_out.dim)
-    for g_in, g_out in zip(spin_operators(spin_in), spin_operators(spin_out)):
-        gen = np.kron(g_out, eye_in) - np.kron(eye_out, g_in.conj())
-        res = max(res, float(np.max(np.abs(j @ gen - gen @ j))))
-    return res
-
-
 def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
               tol: Tolerances = TOL) -> CovariantMixture:
     """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel."""
-    res = covariance_residual(channel, spin_in, spin_out)
+    res = covariance_residual(channel, spin_operators(spin_in), spin_operators(spin_out))
     if res > tol.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     j = channel.jamiolkowski

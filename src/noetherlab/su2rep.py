@@ -76,9 +76,6 @@ class SignedSqrtRational:
     def __float__(self) -> float:
         return self.value()
 
-    def squared(self) -> Fraction:
-        return self.radicand
-
 
 _ZERO = SignedSqrtRational(0, Fraction(0))
 

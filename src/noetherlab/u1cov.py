@@ -14,12 +14,11 @@ claim is made here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .chan import QuantumChannel
-from .numkit import TOL, Tolerances, purity
+from .numkit import TOL, Tolerances
 
 __all__ = [
     "EnergySpectrum",
@@ -77,6 +76,8 @@ def assert_stochastic(p: np.ndarray, tol: float = TOL.tol_eq) -> None:
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("population matrix must be square")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("population matrix has non-finite entries")
     if np.any(p < -tol):
         raise ValueError("population matrix has negative entries")
     if np.max(np.abs(p.sum(axis=0) - 1.0)) > max(tol, 1e-9):
@@ -127,9 +128,6 @@ class U1BlockChannel:
         d = self.spectrum.d
         return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski(), tol=tol)
 
-    def block_purity_sum(self) -> float:
-        return float(sum(purity(np.asarray(b)) for b in self.blocks.values()))
-
 
 def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
                    phases=None) -> U1BlockChannel:
@@ -137,17 +135,20 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     rank-1 projectors with amplitudes sqrt(gamma) e^{i phi} / sqrt(d).
 
     ``phases`` maps (bohr, output_index) to a phase in radians; it may be a
-    dict or an iterable of (bohr, m, radians) triples.  Missing phases are 0.
+    dict or an iterable of (bohr, m, radians) triples.  Missing phases are 0;
+    a phase for a pair absent from the block basis is an error.
     """
     gamma = np.asarray(gamma, dtype=float)
     assert_stochastic(gamma)
     if gamma.shape[0] != spectrum.d:
         raise ValueError("population matrix size must match the spectrum")
-    phase_map: dict[tuple[int, int], float] = {}
     if isinstance(phases, dict):
-        phase_map = {(int(b), int(m)): float(v) for (b, m), v in phases.items()}
-    elif phases is not None:
-        phase_map = {(int(b), int(m)): float(v) for b, m, v in phases}
+        phases = [(b, m, v) for (b, m), v in phases.items()]
+    phase_map = {}
+    for entry in () if phases is None else phases:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"phase {entry!r} is not a [bohr, output_index, radians] triple")
+        phase_map[tuple(entry[:2])] = float(entry[2])
 
     d = spectrum.d
     blocks = {}
@@ -156,10 +157,12 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         amp = np.zeros(len(members), dtype=complex)
         for i, m in enumerate(members):
             n = spectrum.index_of(spectrum.levels[m] - bohr)
-            phi = phase_map.get((bohr, m), 0.0)
+            phi = phase_map.pop((bohr, m), 0.0)
             amp[i] = np.exp(1j * phi) * np.sqrt(gamma[m, n] / d)
         if np.any(np.abs(amp) > 0):
             blocks[bohr] = np.outer(amp, amp.conj())
+    if phase_map:
+        raise ValueError(f"phases name no level pair (bohr, output_index): {list(phase_map)}")
     return U1BlockChannel(spectrum=spectrum, blocks=blocks)
 
 
@@ -182,17 +185,23 @@ class U1Stats:
     b: float
 
 
+def _transfer_weights(spectrum: EnergySpectrum, pop: np.ndarray) -> tuple[dict, float]:
+    """Per-frequency transfer weights q_bohr of a population matrix, and its
+    bistochasticity defect b (= 1 iff bistochastic)."""
+    q = {}
+    for bohr in spectrum.bohr_frequencies():
+        members = spectrum.block_members(bohr)
+        q[bohr] = float(sum(
+            pop[m, spectrum.index_of(spectrum.levels[m] - bohr)] for m in members))
+    b = float(np.sum(pop.sum(axis=1) ** 2) / spectrum.d)
+    return q, b
+
+
 def u1_structure_stats(ch: U1BlockChannel) -> U1Stats:
     """Per-frequency transfer weights q_bohr, the pair degeneracy g, the
     spectral width, and the bistochasticity defect b (= 1 iff bistochastic)."""
     spec = ch.spectrum
-    pop = ch.population_matrix()
-    q = {}
-    for bohr in spec.bohr_frequencies():
-        members = spec.block_members(bohr)
-        q[bohr] = float(sum(
-            pop[m, spec.index_of(spec.levels[m] - bohr)] for m in members))
-    b = float(np.sum(pop.sum(axis=1) ** 2) / spec.d)
+    q, b = _transfer_weights(spec, ch.population_matrix())
     return U1Stats(q=q, g=spec.degeneracy(), width=spec.width, b=b)
 
 
@@ -200,15 +209,9 @@ def optimal_unitarity_for_population(spectrum: EnergySpectrum, pop: np.ndarray) 
     """Largest unitarity over covariant channels with the given population
     matrix, reached when every block is an unnormalized rank-1 projector."""
     assert_stochastic(pop)
-    pop = np.asarray(pop, dtype=float)
+    q, b = _transfer_weights(spectrum, np.asarray(pop, dtype=float))
     d = spectrum.d
-    q_sq = 0.0
-    for bohr in spectrum.bohr_frequencies():
-        members = spectrum.block_members(bohr)
-        q = sum(pop[m, spectrum.index_of(spectrum.levels[m] - bohr)] for m in members)
-        q_sq += q * q
-    b = float(np.sum(pop.sum(axis=1) ** 2) / d)
-    return (q_sq - b) / (d * d - 1)
+    return (sum(v * v for v in q.values()) - b) / (d * d - 1)
 
 
 def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray) -> float:

@@ -6,6 +6,7 @@ from noetherlab.bounds import (
     lower_bound_multiplicity_free,
     su2_bounds,
     u1_bound,
+    u1_cap,
     upper_bound_general,
 )
 from noetherlab.chan import identity_channel, unitary_channel
@@ -19,7 +20,7 @@ from noetherlab.su2cov import (
     polarization_factor,
 )
 from noetherlab.su2rep import SpinJ
-from noetherlab.u1cov import EnergySpectrum, build_dephasing, build_extremal
+from noetherlab.u1cov import EnergySpectrum, build_dephasing, build_extremal, u1_deviation
 
 
 def qubit_f_table():
@@ -177,6 +178,14 @@ class TestU1Bound:
             assert chk.rhs <= 1.0 + 1e-12
             assert chk.lhs <= 1.0 + 1e-12
             assert chk.satisfied
+
+
+    def test_cap_matches_channel_bound(self):
+        spec = EnergySpectrum((0, 1, 3))
+        ch = build_extremal(spec, np.full((3, 3), 1 / 3))
+        delta = u1_deviation(spec, ch.population_matrix())
+        chk = u1_bound(ch)
+        assert u1_cap(spec.d, spec.degeneracy(), spec.width, delta, chk.lhs) == chk
 
 
 class TestDiamondBound:

@@ -80,6 +80,18 @@ class TestValidation:
         with pytest.raises(ChannelValidationError, match="trace preserving"):
             QuantumChannel(2, 2, kraus=ks)
 
+    def test_non_finite_kraus_rejected(self):
+        k = np.eye(2, dtype=complex)
+        k[0, 0] = np.nan
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            QuantumChannel(2, 2, kraus=[k])
+
+    def test_non_finite_jamiolkowski_rejected(self):
+        j = identity_channel(2).jamiolkowski.copy()
+        j[1, 2] = np.inf
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            QuantumChannel(2, 2, jamiolkowski=j)
+
     def test_apply_output_is_density_matrix(self):
         rng = np.random.default_rng(3)
         e = random_channel(3, 4, 2, rng)

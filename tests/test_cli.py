@@ -25,6 +25,12 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestSimplexGrid:
     def test_vertices_at_unit_step(self):
         assert sorted(simplex_grid(2, 1)) == [(0.0, 1.0), (1.0, 0.0)]
@@ -74,6 +80,9 @@ class TestSu2Tradeoff:
         assert code == 2
         code, _, _ = run_cli("su2", "tradeoff", "--two-j", "0", "--grid", "0.5")
         assert code == 2
+
+    def test_grid_not_one_over_n_exit_2(self):
+        assert_usage_error(*run_cli("su2", "tradeoff", "--two-j", "1", "--grid", "0.3"))
 
 
 class TestSu2Kappa:
@@ -131,6 +140,9 @@ class TestU1Tradeoff:
         code, _, _ = run_cli("u1", "tradeoff", "--levels", "1,0", "--grid", "0.5")
         assert code == 2
 
+    def test_grid_not_one_over_n_exit_2(self):
+        assert_usage_error(*run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.3"))
+
     def test_cli_runs_clean(self, tmp_path):
         out = tmp_path / "u1.csv"
         code, _, err = run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.1",
@@ -163,6 +175,16 @@ class TestU1Build:
         spec_file.write_text(json.dumps({"levels": [0, 1], "gamma": [[0.5, 0.5], [0.2, 0.5]]}))
         code, _, _ = run_cli("u1", "build", "--json", str(spec_file))
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"levels": [0, 1], "gamma": [[NaN, 1], [1, 0]]}',
+        '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[1, 5, 0.1]]}',
+        '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[1, 1]]}',
+    ], ids=["nan_gamma", "absent_pair_phase", "short_phase"])
+    def test_malformed_spec_exit_2(self, tmp_path, spec):
+        spec_file = tmp_path / "in.json"
+        spec_file.write_text(spec)
+        assert_usage_error(*run_cli("u1", "build", "--json", str(spec_file)))
 
 
 class TestVerify:
@@ -202,12 +224,14 @@ class TestMainEntry:
         assert abs(payload["kappa_minus"] + 1 / 3) < 1e-12
 
 
-class TestThreadCap:
-    def test_env_var_caps_pool_and_keeps_results(self, monkeypatch):
-        from noetherlab.numkit import thread_count
+class TestExecutionOrder:
+    def test_rows_independent_of_execution_order(self, monkeypatch):
+        from noetherlab import cli
+
+        def reverse_map(fn, items):
+            # evaluate the rows one by one from the last grid point back
+            return [fn(x) for x in reversed(list(items))][::-1]
 
         reference = [r.as_dict() for r in su2_tradeoff_records(2, 0.2)]
-        monkeypatch.setenv("NOETHERLAB_THREADS", "1")
-        assert thread_count() == 1
-        serial = [r.as_dict() for r in su2_tradeoff_records(2, 0.2)]
-        assert serial == reference
+        monkeypatch.setattr(cli, "parallel_map", reverse_map)
+        assert [r.as_dict() for r in su2_tradeoff_records(2, 0.2)] == reference

@@ -8,6 +8,7 @@ from noetherlab.numkit import (
     assert_density_matrix,
     fidelity,
     ginibre,
+    haar_isometry,
     haar_pure,
     haar_pure_batch,
     haar_unitary,
@@ -174,6 +175,12 @@ class TestHaar:
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(4, 11)
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+        assert np.array_equal(u, haar_isometry(4, 4, 11))
+
+    def test_haar_isometry_is_isometry(self):
+        v = haar_isometry(6, 3, 12)
+        assert v.shape == (6, 3)
+        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
 
 
 class TestMatExp:

@@ -4,12 +4,16 @@ Clebsch-Gordan sums (no shared code path with the constructions under test)."""
 import numpy as np
 import pytest
 
-from noetherlab.chan import QuantumChannel, max_action_deviation, unitary_channel
+from noetherlab.chan import (
+    QuantumChannel,
+    covariance_residual,
+    max_action_deviation,
+    unitary_channel,
+)
 from noetherlab.numkit import dagger, haar_pure, haar_unitary
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
-    covariance_residual,
     covariant_channel,
     decompose,
     environment_spin_generators,
@@ -103,7 +107,7 @@ class TestSimplexGeometry:
             for _ in range(200):
                 mix = random_mixture(sa, sb, rng)
                 e = covariant_channel(mix)  # CPTP enforced on construction
-                assert covariance_residual(e, sa, sb) < 1e-9
+                assert covariance_residual(e, spin_operators(sa), spin_operators(sb)) < 1e-9
                 back = decompose(e, sa, sb)
                 assert np.max(np.abs(np.array(back.weights) - np.array(mix.weights))) < 1e-10
 
@@ -154,7 +158,7 @@ class TestTwirl:
         for _ in range(5):
             e = random_channel(sa.dim, sb.dim, 2, rng)
             t = twirl(e, sa, sb)
-            assert covariance_residual(t, sa, sb) < 1e-10
+            assert covariance_residual(t, spin_operators(sa), spin_operators(sb)) < 1e-10
             decompose(t, sa, sb)  # valid probability weights by construction
 
     def test_matches_group_quadrature(self):
@@ -193,7 +197,8 @@ class TestTwirl:
                for w, v in zip(*_eig_pairs(sigma))
                for b in np.eye(3)]
         e = QuantumChannel(3, 3, kraus=ks)
-        assert covariance_residual(e, s, s) > 1e-3  # genuinely not covariant
+        gens = spin_operators(s)
+        assert covariance_residual(e, gens, gens) > 1e-3  # genuinely not covariant
         kappa = q * float(scaling_vector(mix)[1])
         f1_twirled = float(scaling_vector(decompose(twirl(e, s, s), s, s))[1])
         assert abs(f1_twirled - kappa) < 1e-10

@@ -5,6 +5,7 @@ from noetherlab.chan import identity_channel, max_action_deviation
 from noetherlab.metrics import deviation_avg, u1_generators, unitarity_jamiolkowski
 from noetherlab.u1cov import (
     EnergySpectrum,
+    assert_stochastic,
     build_dephasing,
     build_extremal,
     optimal_unitarity_for_population,
@@ -57,6 +58,16 @@ class TestBuildExtremal:
         spec = EnergySpectrum((0, 1))
         with pytest.raises(ValueError):
             build_extremal(spec, np.array([[0.5, 0.2], [0.2, 0.5]]))
+
+    def test_rejects_non_finite_population(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            assert_stochastic(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("phases", [[(1, 0, 0.3)], [(2, 1, 0.3)], [(1, 1)], [5]])
+    def test_rejects_malformed_phases(self, phases):
+        # on a qubit the only pair with Bohr frequency 1 has output index 1
+        with pytest.raises(ValueError, match="phase"):
+            build_extremal(EnergySpectrum((0, 1)), np.eye(2), phases=phases)
 
     def test_blocks_are_rank_one(self):
         rng = np.random.default_rng(1)

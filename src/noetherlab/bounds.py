@@ -28,13 +28,21 @@ from .u1cov import U1BlockChannel, u1_deviation, u1_structure_stats
 
 __all__ = [
     "BoundCheck",
+    "holds",
     "upper_bound_general",
     "lower_bound_multiplicity_free",
+    "su2_bound_sides",
     "su2_bounds",
+    "u1_cap_sides",
     "u1_cap",
     "u1_bound",
     "diamond_bound_given_value",
 ]
+
+
+def holds(lhs, rhs, tol: float = TOL.tol_eq):
+    """The acceptance rule of every bound, lhs <= rhs + tol; elementwise on arrays."""
+    return lhs <= rhs + tol
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ class BoundCheck:
     def of(cls, name: str, lhs: float, rhs: float, applicable: bool = True,
            tol: float = TOL.tol_eq) -> "BoundCheck":
         return cls(name=name, lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(lhs <= rhs + tol), slack=float(rhs - lhs),
+                   satisfied=bool(holds(lhs, rhs, tol)), slack=float(rhs - lhs),
                    applicable=applicable)
 
 
@@ -107,28 +115,44 @@ def lower_bound_multiplicity_free(channel: QuantumChannel, gens: GeneratorSet,
     return BoundCheck.of("sqrt_deviation_lower_multiplicity_free", lhs, rhs, tol=tol)
 
 
+def su2_bound_sides(j: float, u, delta) -> tuple[tuple, tuple]:
+    """``(name, lhs, rhs)`` of both spin-j bounds on sqrt(Deviation) in terms of 1 - u:
+
+    sqrt(2) j^(1/2) / (2j+1)^2 (1 - u) <= sqrt(Dev) <= 3 sqrt(2) j^(3/2) / (2j+1) (1 - u).
+
+    ``u`` and ``delta`` may be scalars or arrays of one shape.
+    """
+    sqrt_delta = np.sqrt(delta)
+    lower = np.sqrt(2.0) * j**0.5 / (2 * j + 1) ** 2 * (1 - u)
+    upper = 3 * np.sqrt(2.0) * j**1.5 / (2 * j + 1) * (1 - u)
+    return (("su2_sqrt_deviation_lower", lower, sqrt_delta),
+            ("su2_sqrt_deviation_upper", sqrt_delta, upper))
+
+
 def su2_bounds(mix: CovariantMixture, tol: float = TOL.tol_eq) -> tuple[BoundCheck, BoundCheck]:
     """Spin-system trade-off: both bounds on sqrt(Deviation) in terms of
     1 - u, evaluated with the exact closed forms (equal spins only)."""
     if mix.spin_in != mix.spin_out:
         raise ValueError("trade-off bounds require equal input and output spins")
-    j = mix.spin_in.j
-    u = unitarity_su2_closed(mix)
-    sqrt_delta = float(np.sqrt(deviation_su2_closed(mix)))
-    lower = np.sqrt(2.0) * j**0.5 / (2 * j + 1) ** 2 * (1 - u)
-    upper = 3 * np.sqrt(2.0) * j**1.5 / (2 * j + 1) * (1 - u)
-    return (
-        BoundCheck.of("su2_sqrt_deviation_lower", lower, sqrt_delta, tol=tol),
-        BoundCheck.of("su2_sqrt_deviation_upper", sqrt_delta, upper, tol=tol),
-    )
+    sides = su2_bound_sides(mix.spin_in.j, unitarity_su2_closed(mix), deviation_su2_closed(mix))
+    return tuple(BoundCheck.of(*side, tol=tol) for side in sides)
+
+
+def u1_cap_sides(d: int, g: int, width: int, delta, u) -> tuple:
+    """``(name, lhs, rhs)`` of the energy-conservation cap for a d-level
+    spectrum with pair degeneracy g:
+    u <= 1 - g(d-g)/(d-1) sqrt(2/(d(d+1))) sqrt(Dev)/width.
+
+    ``delta`` and ``u`` may be scalars or arrays of one shape.
+    """
+    coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
+    return "u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta)
 
 
 def u1_cap(d: int, g: int, width: int, delta: float, u: float,
            tol: float = TOL.tol_eq) -> BoundCheck:
-    """Energy-conservation cap for a d-level spectrum with pair degeneracy g:
-    u <= 1 - g(d-g)/(d-1) sqrt(2/(d(d+1))) sqrt(Dev)/width."""
-    coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
-    return BoundCheck.of("u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta), tol=tol)
+    """The energy-conservation cap of :func:`u1_cap_sides` as one check."""
+    return BoundCheck.of(*u1_cap_sides(d, g, width, delta, u), tol=tol)
 
 
 def u1_bound(ch: U1BlockChannel, tol: float = TOL.tol_eq) -> BoundCheck:

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .chan import ChannelValidationError, QuantumChannel, max_action_deviation, 
 from .numkit import TOL, haar_pure, parallel_map
 from .su2rep import SpinJ
 
-__all__ = ["TradeoffRecord", "main", "simplex_grid", "su2_tradeoff_records", "u1_tradeoff_records"]
+__all__ = ["TradeoffRecord", "TradeoffSweep", "main", "simplex_grid", "su2_tradeoff_records",
+           "u1_tradeoff_records"]
 
 _CSV_TAIL = ["delta", "sqrt_delta", "unitarity", "one_minus_u", "bound_lower", "bound_upper", "ok"]
 
@@ -82,44 +83,78 @@ def _grid_steps(grid: float) -> int:
     return n_steps
 
 
-def su2_tradeoff_records(two_j: int, grid: float) -> list[TradeoffRecord]:
+class TradeoffSweep(list):
+    """The records of one sweep in grid order, plus each bound's slack
+    ``rhs - lhs`` per record (``slack[bound name]``, an array)."""
+
+    def __init__(self, records, slack: dict):
+        super().__init__(records)
+        self.slack = slack
+
+    def near_miss_lines(self) -> list[str]:
+        """Per bound: the smallest slack, the params where it occurs, and how
+        many points come within TOL.tol_eq of failing."""
+        lines = []
+        for name, slack in self.slack.items():
+            i = int(np.argmin(slack))
+            where = " ".join(f"{k}={v}" for k, v in self[i].params.items())
+            lines.append(f"# {name}: min slack {slack[i]:.3e} at {where}; "
+                         f"{int(np.count_nonzero(slack < TOL.tol_eq))} of {len(slack)} points "
+                         f"with slack < {TOL.tol_eq:g}")
+        return lines
+
+
+def _ok_and_slack(sides) -> tuple[np.ndarray, dict]:
+    """Row-wise ``ok`` over every ``(name, lhs, rhs)`` bound, and each bound's slack."""
+    ok = np.logical_and.reduce([bnd.holds(lhs, rhs) for _, lhs, rhs in sides])
+    return ok, {name: rhs - lhs for name, lhs, rhs in sides}
+
+
+def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     spin = SpinJ(two_j)
     n = two_j + 1
-    n_steps = _grid_steps(grid)
+    weights = np.fromiter(chain.from_iterable(simplex_grid(n, _grid_steps(grid))),
+                          dtype=float).reshape(-1, n)
+    u, delta = metrics.su2_closed_forms(weights, spin, spin)
+    sides = bnd.su2_bound_sides(spin.j, u, delta)
+    ok, slack = _ok_and_slack(sides)
+    (_, bound_lower, _), (_, _, bound_upper) = sides
 
-    def one(weights) -> TradeoffRecord:
-        mix = su2cov.CovariantMixture(spin, spin, weights)
-        delta = metrics.deviation_su2_closed(mix)
-        u = metrics.unitarity_su2_closed(mix)
-        lo, up = bnd.su2_bounds(mix)
+    def one(row) -> TradeoffRecord:
+        w, *values = row
+        mix = su2cov.CovariantMixture(spin, spin, w)
         params = {"two_j": two_j}
-        params.update({f"p_{i}": w for i, w in enumerate(weights)})
-        return TradeoffRecord(params=params, delta=delta, unitarity=u,
-                              bound_lower=lo.lhs, bound_upper=up.rhs,
-                              ok=lo.satisfied and up.satisfied)
+        params.update({f"p_{i}": p for i, p in enumerate(mix.weights)})
+        return TradeoffRecord(params, *values)
 
-    return parallel_map(one, simplex_grid(n, n_steps))
+    rows = zip(weights, delta.tolist(), u.tolist(), bound_lower.tolist(), bound_upper.tolist(),
+               ok.tolist())
+    return TradeoffSweep(parallel_map(one, rows), slack)
 
 
-def u1_tradeoff_records(levels, grid: float) -> list[TradeoffRecord]:
+def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
     spec = u1cov.EnergySpectrum(tuple(levels))
     if spec.d != 2:
         raise ValueError("the population-grid sweep is defined for two-level spectra")
     n_steps = _grid_steps(grid)
-    values = [k / n_steps for k in range(n_steps + 1)]
-    g = spec.degeneracy()
-
-    def one(pp) -> TradeoffRecord:
-        p00, p11 = pp
-        pop = np.array([[p00, 1.0 - p11], [1.0 - p00, p11]])
-        delta = u1cov.u1_deviation(spec, pop)
-        u = u1cov.optimal_unitarity_for_population(spec, pop)
-        check = bnd.u1_cap(spec.d, g, spec.width, delta, u)
-        params = {"levels": ";".join(str(x) for x in spec.levels), "p00": p00, "p11": p11}
-        return TradeoffRecord(params=params, delta=delta, unitarity=u,
-                              bound_lower=0.0, bound_upper=check.rhs, ok=check.satisfied)
-
-    return parallel_map(one, [(a, b) for a in values for b in values])
+    values = np.arange(n_steps + 1) / n_steps
+    p00, p11 = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
+    pops = np.stack([p00, 1.0 - p11, 1.0 - p00, p11], axis=-1).reshape(-1, 2, 2)
+    delta = u1cov.u1_deviation(spec, pops)
+    u = u1cov.optimal_unitarity_for_population(spec, pops)
+    cap = bnd.u1_cap_sides(spec.d, spec.degeneracy(), spec.width, delta, u)
+    ok, slack = _ok_and_slack((cap,))
+    _, _, bound_upper = cap
+    label = ";".join(str(x) for x in spec.levels)
+    # product() walks the grid in the meshgrid's order; the records share
+    # one float object per grid value instead of holding two per row
+    grid_values = values.tolist()
+    rows = zip(product(grid_values, grid_values), delta.tolist(), u.tolist(),
+               bound_upper.tolist(), ok.tolist())
+    return TradeoffSweep([
+        TradeoffRecord({"levels": label, "p00": a, "p11": b}, dl, uu, 0.0, rhs, good)
+        for (a, b), dl, uu, rhs, good in rows
+    ], slack)
 
 
 def _write_records(records: list[TradeoffRecord], fmt: str, out_path: str | None) -> None:
@@ -199,12 +234,11 @@ def _check_su2_sweep(rng: np.random.Generator) -> dict:
     total = 0
     for two_j in (1, 2, 3, 4):
         spin = SpinJ(two_j)
-        for _ in range(500):
-            mix = su2cov.CovariantMixture(spin, spin, tuple(rng.dirichlet([0.7] * (two_j + 1))))
-            lo, up = bnd.su2_bounds(mix)
-            total += 1
-            if not (lo.satisfied and up.satisfied):
-                violations += 1
+        weights = rng.dirichlet([0.7] * (two_j + 1), size=500)
+        u, delta = metrics.su2_closed_forms(weights, spin, spin)
+        ok, _ = _ok_and_slack(bnd.su2_bound_sides(spin.j, u, delta))
+        total += len(ok)
+        violations += int(np.count_nonzero(~ok))
     return {"name": "su2_tradeoff_bounds", "passed": violations == 0,
             "detail": f"{violations} violations over {total} mixtures"}
 
@@ -347,6 +381,7 @@ def _cmd_su2_tradeoff(args) -> int:
     n_bad = sum(not r.ok for r in records)
     print(f"# su2 tradeoff two_j={args.two_j} grid={args.grid}: "
           f"{len(records)} records, {n_bad} bound violations", file=sys.stderr)
+    print("\n".join(records.near_miss_lines()), file=sys.stderr)
     return 0 if n_bad == 0 else 1
 
 
@@ -389,6 +424,7 @@ def _cmd_u1_tradeoff(args) -> int:
     n_bad = sum(not r.ok for r in records)
     print(f"# u1 tradeoff levels={args.levels} grid={args.grid}: "
           f"{len(records)} records, {n_bad} bound violations", file=sys.stderr)
+    print("\n".join(records.near_miss_lines()), file=sys.stderr)
     return 0 if n_bad == 0 else 1
 
 

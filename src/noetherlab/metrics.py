@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import QuantumChannel
-from .numkit import dagger, purity
-from .su2cov import CovariantMixture
+from .numkit import TOL, dagger, purity
+from .su2cov import CovariantMixture, check_weights, coupled_labels
 from .su2rep import SpinJ, spin_operators
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "DeviationReport",
     "unitarity_jamiolkowski",
     "unitarity_complementary",
+    "su2_closed_forms",
     "unitarity_su2_closed",
     "purity_condition_holds",
     "delta_generators",
@@ -47,7 +48,8 @@ class GeneratorSet:
         for ops in (self.j_in, self.j_out):
             for g in ops:
                 g = np.asarray(g)
-                if np.max(np.abs(g - dagger(g))) > 1e-9 or abs(np.trace(g)) > 1e-9:
+                if (np.max(np.abs(g - dagger(g))) > TOL.tol_herm
+                        or abs(np.trace(g)) > TOL.tol_eq):
                     raise ValueError("generators must be Hermitian and traceless")
 
     @property
@@ -102,12 +104,39 @@ def unitarity_complementary(channel: QuantumChannel) -> float:
     return d / (d * d - 1) * (d * gamma_comp - gamma_out)
 
 
+def su2_closed_forms(weights, spin_in: SpinJ, spin_out: SpinJ) -> tuple:
+    """Closed forms ``(u, Delta)`` of rotation-covariant channels between spin
+    systems, for one weight vector or an ``(..., n)`` stack over
+    ``coupled_labels(spin_in, spin_out)``:
+
+    * ``u = (d_in^2 sum_L p_L^2/(2L+1) - d_in/d_out) / (d_in^2 - 1)``
+    * ``Delta = (beta - sum_L p_L L(L+1))^2 / (8 j_in (j_in+1)^2)`` with
+      ``beta = j_out(j_out+1) - j_in(j_in+1)``.
+
+    Every operation is elementwise and the label sums run in ladder order, so
+    a stack row gives the same floats as that row on its own.
+    """
+    if spin_in.two_j == 0:
+        raise ValueError("the closed forms need spin_in >= 1/2")
+    w = check_weights(weights, spin_in, spin_out)
+    d_in, d_out = spin_in.dim, spin_out.dim
+    ja, jb = spin_in.j, spin_out.j
+    s = load = 0.0
+    for i, two_l in enumerate(coupled_labels(spin_in, spin_out)):
+        p = w[..., i]
+        s = s + p * p / (two_l + 1)
+        load = load + p * (two_l / 2) * (two_l / 2 + 1)
+    u = (d_in**2 * s - d_in / d_out) / (d_in**2 - 1)
+    drift = jb * (jb + 1) - ja * (ja + 1) - load
+    # drift * drift, not drift ** 2: numpy squares arrays exactly but sends
+    # scalars through pow, which can differ in the last bit.
+    delta = drift * drift / (8 * ja * (ja + 1) ** 2)
+    return u, delta
+
+
 def unitarity_su2_closed(mix: CovariantMixture) -> float:
     """Closed form for rotation-covariant channels between spin systems."""
-    d_in = mix.spin_in.dim
-    d_out = mix.spin_out.dim
-    s = sum(p * p / (two_l + 1) for two_l, p in mix.items())
-    return (d_in**2 * s - d_in / d_out) / (d_in**2 - 1)
+    return float(su2_closed_forms(mix.weights, mix.spin_in, mix.spin_out)[0])
 
 
 def purity_condition_holds(channel: QuantumChannel, slack: float = 1e-12) -> bool:
@@ -147,8 +176,4 @@ def deviation_avg(channel: QuantumChannel, gens: GeneratorSet) -> DeviationRepor
 
 def deviation_su2_closed(mix: CovariantMixture) -> float:
     """Closed form of the average total deviation for covariant mixtures."""
-    ja = mix.spin_in.j
-    jb = mix.spin_out.j
-    beta = jb * (jb + 1) - ja * (ja + 1)
-    drift = beta - sum(p * (two_l / 2) * (two_l / 2 + 1) for two_l, p in mix.items())
-    return float(drift**2 / (8 * ja * (ja + 1) ** 2))
+    return float(su2_closed_forms(mix.weights, mix.spin_in, mix.spin_out)[1])

@@ -21,6 +21,7 @@ from .su2rep import SpinJ, cg, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
+    "check_weights",
     "KappaReport",
     "coupled_labels",
     "irrep_projector",
@@ -47,6 +48,22 @@ def coupled_labels(spin_in: SpinJ, spin_out: SpinJ) -> list[int]:
     return list(range(lo, hi + 2, 2))
 
 
+def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
+    """Validate simplex weights over ``coupled_labels(spin_in, spin_out)``.
+
+    ``weights`` is one probability vector or an ``(..., n)`` stack of them;
+    every entry must be >= -tol_eq and every vector must sum to 1 within 1e-6.
+    Returns the weights as a float array of the same shape.
+    """
+    n = len(coupled_labels(spin_in, spin_out))
+    w = np.asarray(weights, dtype=float)
+    if w.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} weights, got {w.shape}")
+    if not ((w >= -TOL.tol_eq).all() and (abs(w.sum(axis=-1) - 1.0) <= 1e-6).all()):
+        raise ValueError("weights must be a probability distribution")
+    return w
+
+
 @dataclass(frozen=True)
 class CovariantMixture:
     """Probability weights over the extremal channels E^L.
@@ -59,12 +76,9 @@ class CovariantMixture:
     weights: tuple
 
     def __post_init__(self):
-        labels = coupled_labels(self.spin_in, self.spin_out)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(labels),):
-            raise ValueError(f"expected {len(labels)} weights, got {w.shape}")
-        if np.any(w < -TOL.tol_eq) or abs(w.sum() - 1.0) > 1e-6:
-            raise ValueError("weights must be a probability distribution")
+        w = check_weights(self.weights, self.spin_in, self.spin_out)
+        if w.ndim != 1:
+            raise ValueError(f"expected one weight vector, got shape {w.shape}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     @property
@@ -141,7 +155,11 @@ def covariant_channel(mix: CovariantMixture, tol: Tolerances = TOL) -> QuantumCh
 
 def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
               tol: Tolerances = TOL) -> CovariantMixture:
-    """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel."""
+    """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel.
+
+    Round-off negatives down to -tol_psd are clipped to 0; a weight below that
+    is an error, reported with the mass clipping would have discarded.
+    """
     res = covariance_residual(channel, spin_operators(spin_in), spin_operators(spin_out))
     if res > tol.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
@@ -150,6 +168,10 @@ def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
         float(np.real(np.trace(irrep_projector(spin_in, spin_out, two_l) @ j)))
         for two_l in coupled_labels(spin_in, spin_out)
     ]
+    if min(weights) < -tol.tol_psd:
+        clipped = -sum(w for w in weights if w < 0)
+        raise ValueError(f"simplex weight {min(weights):.2e} below -tol_psd={-tol.tol_psd:.0e}: "
+                         f"clipping would discard mass {clipped:.2e}")
     weights = [max(0.0, w) for w in weights]
     return CovariantMixture(spin_in, spin_out, tuple(weights))
 

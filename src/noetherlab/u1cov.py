@@ -73,14 +73,15 @@ class EnergySpectrum:
 
 
 def assert_stochastic(p: np.ndarray, tol: float = TOL.tol_eq) -> None:
+    """Check a column-stochastic matrix, or every matrix of a ``(..., d, d)`` stack."""
     p = np.asarray(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError("population matrix must be square")
     if not np.all(np.isfinite(p)):
         raise ValueError("population matrix has non-finite entries")
     if np.any(p < -tol):
         raise ValueError("population matrix has negative entries")
-    if np.max(np.abs(p.sum(axis=0) - 1.0)) > max(tol, 1e-9):
+    if np.any(np.abs(p.sum(axis=-2) - 1.0) > max(tol, 1e-9)):
         raise ValueError("population matrix columns must sum to 1")
 
 
@@ -185,15 +186,15 @@ class U1Stats:
     b: float
 
 
-def _transfer_weights(spectrum: EnergySpectrum, pop: np.ndarray) -> tuple[dict, float]:
-    """Per-frequency transfer weights q_bohr of a population matrix, and its
-    bistochasticity defect b (= 1 iff bistochastic)."""
+def _transfer_weights(spectrum: EnergySpectrum, pop: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Per-frequency transfer weights q_bohr of a population matrix (or of each
+    matrix of a stack), and its bistochasticity defect b (= 1 iff bistochastic)."""
     q = {}
     for bohr in spectrum.bohr_frequencies():
         members = spectrum.block_members(bohr)
-        q[bohr] = float(sum(
-            pop[m, spectrum.index_of(spectrum.levels[m] - bohr)] for m in members))
-    b = float(np.sum(pop.sum(axis=1) ** 2) / spectrum.d)
+        q[bohr] = sum(
+            pop[..., m, spectrum.index_of(spectrum.levels[m] - bohr)] for m in members)
+    b = np.sum(pop.sum(axis=-1) ** 2, axis=-1) / spectrum.d
     return q, b
 
 
@@ -202,25 +203,37 @@ def u1_structure_stats(ch: U1BlockChannel) -> U1Stats:
     spectral width, and the bistochasticity defect b (= 1 iff bistochastic)."""
     spec = ch.spectrum
     q, b = _transfer_weights(spec, ch.population_matrix())
-    return U1Stats(q=q, g=spec.degeneracy(), width=spec.width, b=b)
+    return U1Stats(q={k: float(v) for k, v in q.items()}, g=spec.degeneracy(),
+                   width=spec.width, b=float(b))
 
 
-def optimal_unitarity_for_population(spectrum: EnergySpectrum, pop: np.ndarray) -> float:
+def optimal_unitarity_for_population(spectrum: EnergySpectrum, pop: np.ndarray):
     """Largest unitarity over covariant channels with the given population
-    matrix, reached when every block is an unnormalized rank-1 projector."""
+    matrix, reached when every block is an unnormalized rank-1 projector.
+
+    A ``(..., d, d)`` stack gives an array of shape ``(...)``; one matrix, a float.
+    """
     assert_stochastic(pop)
-    q, b = _transfer_weights(spectrum, np.asarray(pop, dtype=float))
+    pop = np.asarray(pop, dtype=float)
+    q, b = _transfer_weights(spectrum, pop)
     d = spectrum.d
-    return (sum(v * v for v in q.values()) - b) / (d * d - 1)
+    u = (sum(v * v for v in q.values()) - b) / (d * d - 1)
+    return float(u) if pop.ndim == 2 else u
 
 
-def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray) -> float:
+def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
     """Average total deviation from energy conservation, from the population
-    matrix alone: (tr dH)^2 + tr(dH^2) over d (d + 1)."""
+    matrix alone: (tr dH)^2 + tr(dH^2) over d (d + 1).
+
+    A ``(..., d, d)`` stack gives an array of shape ``(...)``; one matrix, a float.
+    """
     assert_stochastic(pop)
     pop = np.asarray(pop, dtype=float)
     e = np.asarray(spectrum.levels, dtype=float)
     d = spectrum.d
     # diagonal of dH: sum_m P[m, n] (E_m - E_n) per input level n
-    drift = pop.T @ e - e
-    return float((drift.sum() ** 2 + np.sum(drift**2)) / (d * (d + 1)))
+    drift = np.swapaxes(pop, -1, -2) @ e - e
+    total = drift.sum(axis=-1)
+    # total * total, not total ** 2, so one matrix and a stack round alike
+    dev = (total * total + np.sum(drift**2, axis=-1)) / (d * (d + 1))
+    return float(dev) if pop.ndim == 2 else dev

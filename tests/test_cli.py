@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noetherlab import bounds as bnd
+from noetherlab import metrics, u1cov
 from noetherlab.chan import QuantumChannel, max_action_deviation
 from noetherlab.cli import main, simplex_grid, su2_tradeoff_records, u1_tradeoff_records
-from noetherlab.su2cov import extremal_channel
+from noetherlab.numkit import TOL
+from noetherlab.su2cov import CovariantMixture, extremal_channel
 from noetherlab.su2rep import SpinJ
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent
@@ -235,3 +238,90 @@ class TestExecutionOrder:
         reference = [r.as_dict() for r in su2_tradeoff_records(2, 0.2)]
         monkeypatch.setattr(cli, "parallel_map", reverse_map)
         assert [r.as_dict() for r in su2_tradeoff_records(2, 0.2)] == reference
+
+    def test_rows_independent_of_grid_order(self, monkeypatch):
+        # the array pass must treat each grid point on its own: fed the grid
+        # backwards, it gives the same rows backwards
+        from noetherlab import cli
+
+        reference = [r.as_dict() for r in su2_tradeoff_records(3, 0.2)]
+        forward = cli.simplex_grid
+        monkeypatch.setattr(cli, "simplex_grid", lambda n, steps: reversed(list(forward(n, steps))))
+        assert [r.as_dict() for r in su2_tradeoff_records(3, 0.2)] == reference[::-1]
+
+
+def su2_rows_one_by_one(two_j, grid):
+    """The su2 sweep rebuilt from the scalar functions, one grid point at a time."""
+    spin = SpinJ(two_j)
+    rows = []
+    for weights in simplex_grid(two_j + 1, round(1 / grid)):
+        mix = CovariantMixture(spin, spin, weights)
+        lo, up = bnd.su2_bounds(mix)
+        params = {"two_j": two_j, **{f"p_{i}": w for i, w in enumerate(weights)}}
+        rows.append((params, metrics.deviation_su2_closed(mix), metrics.unitarity_su2_closed(mix),
+                     lo.lhs, up.rhs, lo.satisfied and up.satisfied))
+    return rows
+
+
+def u1_rows_one_by_one(levels, grid):
+    spec = u1cov.EnergySpectrum(tuple(levels))
+    n_steps = round(1 / grid)
+    values = [k / n_steps for k in range(n_steps + 1)]
+    rows = []
+    for p00 in values:
+        for p11 in values:
+            pop = np.array([[p00, 1.0 - p11], [1.0 - p00, p11]])
+            delta = u1cov.u1_deviation(spec, pop)
+            u = u1cov.optimal_unitarity_for_population(spec, pop)
+            cap = bnd.u1_cap(spec.d, spec.degeneracy(), spec.width, delta, u)
+            params = {"levels": ";".join(map(str, levels)), "p00": p00, "p11": p11}
+            rows.append((params, delta, u, 0.0, cap.rhs, cap.satisfied))
+    return rows
+
+
+class TestSweepsMatchScalarRows:
+    @pytest.mark.parametrize("sweep, reference, arg, grid", [
+        *[(su2_tradeoff_records, su2_rows_one_by_one, two_j, 0.1) for two_j in (1, 2, 3, 4)],
+        (u1_tradeoff_records, u1_rows_one_by_one, [0, 1], 0.02),
+        (u1_tradeoff_records, u1_rows_one_by_one, [0, 2], 0.05),
+    ], ids=["su2_1", "su2_2", "su2_3", "su2_4", "u1_01", "u1_02"])
+    def test_same_rows_in_the_same_order(self, sweep, reference, arg, grid):
+        records = sweep(arg, grid)
+        expected = reference(arg, grid)
+        assert len(records) == len(expected)
+        for r, (params, delta, u, lower, upper, ok) in zip(records, expected):
+            assert r.params == params
+            assert r.ok is ok
+            got = np.array([r.delta, r.unitarity, r.bound_lower, r.bound_upper])
+            assert np.max(np.abs(got - [delta, u, lower, upper])) <= 1e-12
+
+
+class TestNearMissReport:
+    @pytest.mark.parametrize("argv, fn, arg, sides", [
+        (["su2", "tradeoff", "--two-j", "2", "--grid", "0.1"], su2_tradeoff_records, 2,
+         {"su2_sqrt_deviation_lower": lambda r: r.sqrt_delta - r.bound_lower,
+          "su2_sqrt_deviation_upper": lambda r: r.bound_upper - r.sqrt_delta}),
+        (["u1", "tradeoff", "--levels", "0,2", "--grid", "0.1"], u1_tradeoff_records, [0, 2],
+         {"u1_unitarity_upper": lambda r: r.bound_upper - r.unitarity}),
+    ], ids=["su2", "u1"])
+    def test_one_stderr_line_per_bound(self, tmp_path, argv, fn, arg, sides):
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run_cli(*argv, "--out", str(out))
+        assert code == 0 and stdout == ""
+        summary, *lines = err.splitlines()
+        assert "0 bound violations" in summary
+        assert len(lines) == len(sides)
+        records = fn(arg, 0.1)
+        for line, (name, slack_of) in zip(lines, sides.items()):
+            slacks = np.array([slack_of(r) for r in records])
+            i = int(np.argmin(slacks))
+            where = " ".join(f"{k}={v}" for k, v in records[i].params.items())
+            n_close = int(np.sum(slacks < TOL.tol_eq))
+            assert line == (f"# {name}: min slack {slacks[i]:.3e} at {where}; "
+                            f"{n_close} of {len(records)} points with slack < {TOL.tol_eq:g}")
+
+    def test_csv_bytes_unchanged_by_report(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.5", "--out", str(out))
+        _, stdout, _ = run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.5")
+        assert out.read_text() == stdout

@@ -10,7 +10,7 @@ from noetherlab.chan import (
     max_action_deviation,
     unitary_channel,
 )
-from noetherlab.numkit import dagger, haar_pure, haar_unitary
+from noetherlab.numkit import Tolerances, dagger, haar_pure, haar_unitary
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -135,6 +135,33 @@ class TestSimplexGeometry:
         u = haar_unitary(2, 5)
         with pytest.raises(ValueError, match="residual"):
             decompose(unitary_channel(u), SpinJ(1), SpinJ(1))
+
+    @staticmethod
+    def _channel_with_weights(spin, weights):
+        # trace-preserving and covariant, but not CP when a weight is negative
+        j = sum(p * irrep_projector(spin, spin, two_l) / (two_l + 1)
+                for two_l, p in zip(coupled_labels(spin, spin), weights))
+        return QuantumChannel(spin.dim, spin.dim, jamiolkowski=j, tol=Tolerances(tol_psd=1e-3))
+
+    def test_decompose_rejects_negative_weight(self):
+        s = SpinJ(2)
+        e = self._channel_with_weights(s, (-1e-5, 0.5, 0.5 + 1e-5))
+        with pytest.raises(ValueError, match="clipping would discard mass 1.00e-05"):
+            decompose(e, s, s)
+
+    def test_decompose_clips_round_off(self):
+        s = SpinJ(2)
+        e = self._channel_with_weights(s, (-1e-12, 0.5, 0.5 + 1e-12))
+        w = decompose(e, s, s).weights
+        assert w[0] == 0.0
+        assert np.allclose(w, [0.0, 0.5, 0.5], atol=1e-10)
+
+    def test_mixture_rejects_nan_and_stacked_weights(self):
+        s = SpinJ(1)
+        with pytest.raises(ValueError, match="probability"):
+            CovariantMixture(s, s, (np.nan, 1.0))
+        with pytest.raises(ValueError, match="one weight vector"):
+            CovariantMixture(s, s, ((0.5, 0.5), (0.5, 0.5)))
 
 
 class TestTwirl:

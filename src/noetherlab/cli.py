@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, combinations, product
@@ -44,7 +45,7 @@ class TradeoffRecord:
 
     @property
     def sqrt_delta(self) -> float:
-        return float(np.sqrt(self.delta))
+        return math.sqrt(self.delta)
 
     def as_dict(self) -> dict:
         return {
@@ -59,8 +60,9 @@ class TradeoffRecord:
         }
 
     def csv_row(self) -> list:
-        d = self.as_dict()
-        return list(self.params.values()) + [d[k] for k in _CSV_TAIL]
+        """Parameter values, then the ``_CSV_TAIL`` columns in order."""
+        return [*self.params.values(), self.delta, self.sqrt_delta, self.unitarity,
+                1.0 - self.unitarity, self.bound_lower, self.bound_upper, self.ok]
 
 
 def simplex_grid(n_parts: int, n_steps: int):

@@ -3,8 +3,10 @@
 The convex set of such channels is a simplex whose vertices are channels
 ``E^L`` with Jamiolkowski state equal to the normalized projector onto the
 spin-L irreducible subspace of ``H_out (x) H_in``.  Everything here is
-built from exact Clebsch-Gordan data; twirling is exact block projection
-(no group quadrature).
+built from exact Clebsch-Gordan data.  ``Pi_L`` is the sum of
+``|T_{L,M}><T_{L,M}|`` over the vectorized spin-L tensor operators, so block
+traces and block sums are contractions with the ITO basis: no dense
+projector is stored, and twirling is exact (no group quadrature).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chan import QuantumChannel, covariance_residual
-from .numkit import TOL, Tolerances, vectorize
-from .su2rep import SpinJ, cg, ito_basis, spin_operators
+from .numkit import TOL, Tolerances
+from .su2rep import ItoBasis, SpinJ, cg, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
@@ -112,20 +114,28 @@ class KappaReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _irrep_projector_cached(two_j_in: int, two_j_out: int, two_l: int) -> np.ndarray:
-    basis = ito_basis(SpinJ(two_j_in), SpinJ(two_j_out))
-    vecs = [vectorize(t) for t in basis.family(two_l)]
-    p = sum(np.outer(v, v.conj()) for v in vecs)
-    p.setflags(write=False)
-    return p
-
-
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
-    """Projector onto the spin-L irrep of H_out (x) H_in under U_out (x) U_in^*."""
+    """Projector onto the spin-L irrep of H_out (x) H_in under U_out (x) U_in^*,
+    built on each call (the simplex operations below never form it)."""
     if two_l not in coupled_labels(spin_in, spin_out):
         raise ValueError(f"two_l={two_l} outside the admissible ladder")
-    return _irrep_projector_cached(spin_in.two_j, spin_out.two_j, two_l)
+    rows = np.array(ito_basis(spin_in, spin_out).family(two_l)).reshape(two_l + 1, -1)
+    return rows.T @ rows.conj()
+
+
+def _block_weights(basis: ItoBasis, j: np.ndarray) -> np.ndarray:
+    """p_L = tr(Pi_L J) = sum_M <T_{L,M}|J|T_{L,M}> per irrep L of ``basis``, ascending."""
+    v = basis.vectors
+    per_op = np.real(np.sum(v.conj() * (v @ j.T), axis=1))
+    sizes = [two_l + 1 for two_l in basis.irrep_labels()]
+    return np.add.reduceat(per_op, np.cumsum([0] + sizes[:-1]))
+
+
+def _block_state(basis: ItoBasis, weights) -> np.ndarray:
+    """sum_L p_L Pi_L / (2L+1): the Jamiolkowski state with block weights p_L."""
+    v = basis.vectors
+    sizes = [two_l + 1 for two_l in basis.irrep_labels()]
+    return (v.T * np.repeat(np.asarray(weights) / sizes, sizes)) @ v.conj()
 
 
 def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarray]:
@@ -146,10 +156,7 @@ def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int,
 
 def covariant_channel(mix: CovariantMixture, tol: Tolerances = TOL) -> QuantumChannel:
     """Assemble sum_L p_L E^L from its Jamiolkowski block weights."""
-    j = sum(
-        p * irrep_projector(mix.spin_in, mix.spin_out, two_l) / (two_l + 1)
-        for two_l, p in mix.items()
-    )
+    j = _block_state(ito_basis(mix.spin_in, mix.spin_out), mix.weights)
     return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j, tol=tol)
 
 
@@ -163,11 +170,7 @@ def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
     res = covariance_residual(channel, spin_operators(spin_in), spin_operators(spin_out))
     if res > tol.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
-    j = channel.jamiolkowski
-    weights = [
-        float(np.real(np.trace(irrep_projector(spin_in, spin_out, two_l) @ j)))
-        for two_l in coupled_labels(spin_in, spin_out)
-    ]
+    weights = _block_weights(ito_basis(spin_in, spin_out), channel.jamiolkowski).tolist()
     if min(weights) < -tol.tol_psd:
         clipped = -sum(w for w in weights if w < 0)
         raise ValueError(f"simplex weight {min(weights):.2e} below -tol_psd={-tol.tol_psd:.0e}: "
@@ -180,14 +183,12 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
           tol: Tolerances = TOL) -> QuantumChannel:
     """Group-average a channel onto the covariant simplex.
 
-    Implemented exactly as a block projection of the Jamiolkowski state;
-    idempotent, and the identity on covariant inputs.
+    Implemented exactly as a block projection of the Jamiolkowski state: the
+    state assembled from the block weights of J.  Idempotent, and the
+    identity on covariant inputs.
     """
-    j = channel.jamiolkowski
-    out = np.zeros_like(j)
-    for two_l in coupled_labels(spin_in, spin_out):
-        p = irrep_projector(spin_in, spin_out, two_l)
-        out += (np.real(np.trace(p @ j)) / (two_l + 1)) * p
+    basis = ito_basis(spin_in, spin_out)
+    out = _block_state(basis, _block_weights(basis, channel.jamiolkowski))
     return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out, tol=tol)
 
 

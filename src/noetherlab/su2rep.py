@@ -196,11 +196,14 @@ class ItoBasis:
     ``ops`` maps (two_l, two_m) to a d_out x d_in matrix.  For equal spins
     the operators are the standard polarization operators: l runs over
     0 .. 2j, ``T^0_0 = I / sqrt(d)`` and ``T^1_0`` is proportional to Jz.
+    Row k of ``vectors`` is ``vectorize`` of the k-th operator, irreps
+    ascending and m descending within each; ``ops`` holds views into it.
     """
 
     spin_in: SpinJ
     spin_out: SpinJ
     ops: dict = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
 
     def irrep_labels(self) -> list[int]:
         return sorted({tl for tl, _ in self.ops})
@@ -217,47 +220,27 @@ class ItoBasis:
 def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
     spin_in = SpinJ(two_j_in)
     spin_out = SpinJ(two_j_out)
-    d_in, d_out = spin_in.dim, spin_out.dim
-    ops: dict[tuple[int, int], np.ndarray] = {}
-
-    if two_j_in == two_j_out:
-        # Wigner-Eckart construction with unit reduced element sqrt((2l+1)/d).
-        two_j = two_j_in
-        ms = spin_in.m_values()
-        for two_l in range(0, 2 * two_j + 1, 2):
-            norm = np.sqrt((two_l + 1) / (two_j + 1))
-            for two_m in range(two_l, -two_l - 2, -2):
-                t = np.zeros((d_in, d_in), dtype=complex)
-                for r, two_mr in enumerate(ms):
-                    for c, two_mc in enumerate(ms):
-                        t[r, c] = cg(two_j, two_mc, two_l, two_m, two_j, two_mr)
-                ops[(two_l, two_m)] = norm * t
-    else:
-        # Rectangular family: unvectorized coupled basis of the l-irrep in
-        # H_out (x) H_in under U_out (x) U_in^*, conjugation taken entrywise
-        # in the Jz basis (phases absorbed into the coupling coefficients).
-        ms_out = spin_out.m_values()
-        ms_in = spin_in.m_values()
-        for two_l in range(abs(two_j_out - two_j_in), two_j_out + two_j_in + 2, 2):
-            family = []
-            for two_m in range(two_l, -two_l - 2, -2):
-                t = np.zeros((d_out, d_in), dtype=complex)
-                for r, two_mb in enumerate(ms_out):
-                    for c, two_ma in enumerate(ms_in):
-                        phase = -1.0 if ((two_j_in + two_ma) // 2) % 2 else 1.0
-                        t[r, c] = phase * cg(two_j_out, two_mb, two_j_in, -two_ma, two_l, two_m)
-                family.append((two_m, t))
-            # canonical family sign: first nonzero entry of the top-m operator
-            top = family[0][1]
-            nz = top[np.abs(top) > 1e-14]
-            if nz.size and np.real(nz[0]) < 0:
-                family = [(tm, -t) for tm, t in family]
-            for tm, t in family:
-                ops[(two_l, tm)] = t
-
-    for t in ops.values():
-        t.setflags(write=False)
-    return ItoBasis(spin_in=spin_in, spin_out=spin_out, ops=ops)
+    labels = range(abs(two_j_out - two_j_in), two_j_out + two_j_in + 2, 2)
+    keys = [(two_l, two_m) for two_l in labels for two_m in range(two_l, -two_l - 2, -2)]
+    index = {key: k for k, key in enumerate(keys)}
+    stack = np.zeros((len(keys), spin_out.dim, spin_in.dim), dtype=complex)
+    # Wigner-Eckart with unit reduced element: <j_out m_r| T_{L,M} |j_in m_c> is
+    # sqrt((2L+1)/d_out) <j_in m_c; L M | j_out m_r>, nonzero only for M = m_r - m_c.
+    for two_l in labels:
+        for r, two_mr in enumerate(spin_out.m_values()):
+            for c, two_mc in enumerate(spin_in.m_values()):
+                if abs(two_mr - two_mc) <= two_l:
+                    stack[index[(two_l, two_mr - two_mc)], r, c] = cg(
+                        two_j_in, two_mc, two_l, two_mr - two_mc, two_j_out, two_mr)
+    # Family sign: the first nonzero entry of each top-m operator is positive;
+    # equal spins keep the polarization operators (T^1_0 along +Jz).
+    scale = [np.sqrt((two_l + 1) / spin_out.dim)
+             * (1 if two_j_in == two_j_out else (-1) ** ((two_j_in + two_l - two_j_out) // 2))
+             for two_l, _ in keys]
+    stack *= np.array(scale)[:, None, None]
+    stack.setflags(write=False)
+    return ItoBasis(spin_in=spin_in, spin_out=spin_out, ops=dict(zip(keys, stack)),
+                    vectors=stack.reshape(len(keys), -1))
 
 
 def ito_basis(spin_in: SpinJ, spin_out: SpinJ | None = None) -> ItoBasis:

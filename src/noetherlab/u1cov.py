@@ -85,6 +85,16 @@ def assert_stochastic(p: np.ndarray, tol: float = TOL.tol_eq) -> None:
         raise ValueError("population matrix columns must sum to 1")
 
 
+def _population(spectrum: EnergySpectrum, pop) -> np.ndarray:
+    """``pop`` (one matrix or a stack) as floats, checked stochastic and sized to ``spectrum``."""
+    pop = np.asarray(pop, dtype=float)
+    assert_stochastic(pop)
+    if pop.shape[-1] != spectrum.d:
+        raise ValueError(f"population matrix is {pop.shape[-1]}x{pop.shape[-1]}, "
+                         f"but the spectrum has {spectrum.d} levels")
+    return pop
+
+
 @dataclass(frozen=True)
 class U1BlockChannel:
     """Bohr-frequency block form of a time-translation covariant channel.
@@ -139,10 +149,9 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     dict or an iterable of (bohr, m, radians) triples.  Missing phases are 0;
     a phase for a pair absent from the block basis is an error.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    assert_stochastic(gamma)
-    if gamma.shape[0] != spectrum.d:
-        raise ValueError("population matrix size must match the spectrum")
+    gamma = _population(spectrum, gamma)
+    if gamma.ndim != 2:
+        raise ValueError(f"expected one population matrix, got shape {gamma.shape}")
     if isinstance(phases, dict):
         phases = [(b, m, v) for (b, m), v in phases.items()]
     phase_map = {}
@@ -213,8 +222,7 @@ def optimal_unitarity_for_population(spectrum: EnergySpectrum, pop: np.ndarray):
 
     A ``(..., d, d)`` stack gives an array of shape ``(...)``; one matrix, a float.
     """
-    assert_stochastic(pop)
-    pop = np.asarray(pop, dtype=float)
+    pop = _population(spectrum, pop)
     q, b = _transfer_weights(spectrum, pop)
     d = spectrum.d
     u = (sum(v * v for v in q.values()) - b) / (d * d - 1)
@@ -227,8 +235,7 @@ def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
 
     A ``(..., d, d)`` stack gives an array of shape ``(...)``; one matrix, a float.
     """
-    assert_stochastic(pop)
-    pop = np.asarray(pop, dtype=float)
+    pop = _population(spectrum, pop)
     e = np.asarray(spectrum.levels, dtype=float)
     d = spectrum.d
     # diagonal of dH: sum_m P[m, n] (E_m - E_n) per input level n

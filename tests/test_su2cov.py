@@ -3,11 +3,14 @@ Clebsch-Gordan sums (no shared code path with the constructions under test)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noetherlab.chan import (
     QuantumChannel,
     covariance_residual,
     max_action_deviation,
+    random_channel,
     unitary_channel,
 )
 from noetherlab.numkit import Tolerances, dagger, haar_pure, haar_unitary
@@ -229,6 +232,58 @@ class TestTwirl:
         kappa = q * float(scaling_vector(mix)[1])
         f1_twirled = float(scaling_vector(decompose(twirl(e, s, s), s, s))[1])
         assert abs(f1_twirled - kappa) < 1e-10
+
+
+def casimir_projectors(spin_in: SpinJ, spin_out: SpinJ) -> dict:
+    """Pi_L for every label, as eigenprojectors of the Casimir sum_k G_k^2 of
+    G_k = J_k^out (x) I - I (x) conj(J_k^in), the generators of U_out (x) U_in^*
+    on row-stacked vectors; eigenvalue L(L+1) labels the block."""
+    eye_in, eye_out = np.eye(spin_in.dim), np.eye(spin_out.dim)
+    gens = [np.kron(a, eye_in) - np.kron(eye_out, b.conj())
+            for a, b in zip(spin_operators(spin_out), spin_operators(spin_in))]
+    w, v = np.linalg.eigh(sum(g @ g for g in gens))
+    out = {}
+    for two_l in coupled_labels(spin_in, spin_out):
+        cols = v[:, np.rint(4 * w) == two_l * (two_l + 2)]
+        out[two_l] = cols @ dagger(cols)
+    return out
+
+
+spins = st.integers(0, 6)
+
+
+class TestSimplexProperties:
+    @given(spins, spins, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_decompose_inverts_covariant_channel(self, two_ja, two_jb, seed):
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+        mix = random_mixture(sa, sb, np.random.default_rng(seed))
+        back = decompose(covariant_channel(mix), sa, sb)
+        assert np.max(np.abs(np.array(back.weights) - mix.weights)) <= 1e-10
+
+    @given(spins, spins, st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_twirl_idempotent_and_fixes_covariant_channels(self, two_ja, two_jb, seed):
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+        rng = np.random.default_rng(seed)
+        once = twirl(random_channel(sa.dim, sb.dim, sa.dim, rng), sa, sb)
+        assert np.max(np.abs(twirl(once, sa, sb).jamiolkowski - once.jamiolkowski)) <= 1e-12
+        cov = covariant_channel(random_mixture(sa, sb, rng))
+        assert np.max(np.abs(twirl(cov, sa, sb).jamiolkowski - cov.jamiolkowski)) <= 1e-12
+
+    @given(spins, spins, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_match_dense_projector_formula(self, two_ja, two_jb, rank, seed):
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+        e = random_channel(sa.dim, sb.dim, rank * sa.dim, seed)
+        j = e.jamiolkowski
+        projectors = casimir_projectors(sa, sb)
+        traces = {two_l: np.trace(p @ j).real for two_l, p in projectors.items()}
+        dense = sum(traces[two_l] / (two_l + 1) * p for two_l, p in projectors.items())
+        assert np.max(np.abs(twirl(e, sa, sb).jamiolkowski - dense)) <= 1e-12
+        # the twirl is covariant, so its weights are the block traces of J
+        back = decompose(twirl(e, sa, sb), sa, sb)
+        assert np.max(np.abs(np.array(back.weights) - list(traces.values()))) <= 1e-12
 
 
 def _eig_pairs(rho):

@@ -268,6 +268,38 @@ class TestItoBasis:
                     back = sum(np.trace(dagger(f) @ rotated) * f for f in family)
                     assert np.max(np.abs(rotated - back)) < 1e-10
 
+    @staticmethod
+    def _coupling_family(two_j_in, two_j_out, two_l):
+        """The spin-L family from the coupling formula
+        T_{L,M}[m_b, m_a] = (-1)^(j_in + m_a) <j_out m_b; j_in -m_a | L M>,
+        signed so that the first nonzero entry of the top-m operator (found by
+        exact sign, row-major) is positive."""
+        ms_in, ms_out = SpinJ(two_j_in).m_values(), SpinJ(two_j_out).m_values()
+        phase = np.array([(-1) ** ((two_j_in + two_ma) // 2) for two_ma in ms_in])
+        family = []
+        for two_m in range(two_l, -two_l - 2, -2):
+            coeffs = [[clebsch_gordan(two_j_out, two_mb, two_j_in, -two_ma, two_l, two_m)
+                       for two_ma in ms_in] for two_mb in ms_out]
+            signs = np.array([[c.sign for c in row] for row in coeffs]) * phase
+            values = np.array([[float(c) for c in row] for row in coeffs]) * phase
+            family.append((signs, values))
+        top_signs = family[0][0]
+        first = top_signs[top_signs != 0][0]
+        return [first * values for _, values in family]
+
+    @pytest.mark.parametrize("two_j_in", range(11))
+    def test_unequal_spin_sign_convention(self, two_j_in):
+        for two_j_out in range(11):
+            if two_j_out == two_j_in:
+                continue
+            b = ito_basis(SpinJ(two_j_in), SpinJ(two_j_out))
+            for two_l in b.irrep_labels():
+                family = b.family(two_l)
+                top = family[0][family[0] != 0]
+                assert top[0].real > 0 and top[0].imag == 0
+                for got, ref in zip(family, self._coupling_family(two_j_in, two_j_out, two_l)):
+                    assert np.max(np.abs(got - ref)) <= 1e-14
+
 
 class TestCoherentState:
     def test_north_pole(self):

@@ -40,6 +40,24 @@ class TestSpectrum:
         assert spec.block_members(3) == [2]
 
 
+class TestPopulationSize:
+    @pytest.mark.parametrize("fn", [build_extremal, u1_deviation, optimal_unitarity_for_population])
+    @pytest.mark.parametrize("levels,pop", [
+        ((0, 1, 2), np.eye(2)),
+        ((0, 1), np.eye(3)),
+        ((0, 1, 2), np.stack([np.eye(2)] * 4)),
+        ((0, 1), np.stack([np.eye(3)] * 4)),
+    ], ids=["smaller", "larger", "stack_smaller", "stack_larger"])
+    def test_mismatch_names_both_sizes(self, fn, levels, pop):
+        n = pop.shape[-1]
+        with pytest.raises(ValueError, match=rf"is {n}x{n}, but the spectrum has {len(levels)} levels"):
+            fn(EnergySpectrum(levels), pop)
+
+    def test_build_extremal_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"one population matrix, got shape \(3, 2, 2\)"):
+            build_extremal(EnergySpectrum((0, 1)), np.stack([np.eye(2)] * 3))
+
+
 class TestBuildExtremal:
     def test_identity_population(self):
         spec = EnergySpectrum((0, 1))

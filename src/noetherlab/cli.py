@@ -370,21 +370,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_su2_tradeoff(args) -> int:
-    if args.two_j < 1 or not 0.0 < args.grid <= 1.0:
-        print("error: need --two-j >= 1 and 0 < --grid <= 1", file=sys.stderr)
+def _run_sweep(args, title: str, build, need: str = "", flags_ok: bool = True) -> int:
+    """Body of both sweep commands: check the flags (``need`` names the
+    conditions besides the grid's), build and write the records, then print
+    the summary and near-miss lines. Exit 1 on any bound violation."""
+    if not (flags_ok and 0.0 < args.grid <= 1.0):
+        print(f"error: need {need}0 < --grid <= 1", file=sys.stderr)
         return 2
     try:
-        records = su2_tradeoff_records(args.two_j, args.grid)
+        records = build()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     _write_records(records, args.format, args.out)
     n_bad = sum(not r.ok for r in records)
-    print(f"# su2 tradeoff two_j={args.two_j} grid={args.grid}: "
-          f"{len(records)} records, {n_bad} bound violations", file=sys.stderr)
+    print(f"# {title}: {len(records)} records, {n_bad} bound violations", file=sys.stderr)
     print("\n".join(records.near_miss_lines()), file=sys.stderr)
     return 0 if n_bad == 0 else 1
+
+
+def _cmd_su2_tradeoff(args) -> int:
+    return _run_sweep(args, f"su2 tradeoff two_j={args.two_j} grid={args.grid}",
+                      lambda: su2_tradeoff_records(args.two_j, args.grid),
+                      need="--two-j >= 1 and ", flags_ok=args.two_j >= 1)
 
 
 def _cmd_su2_kappa(args) -> int:
@@ -413,21 +421,9 @@ def _cmd_su2_channel(args) -> int:
 
 
 def _cmd_u1_tradeoff(args) -> int:
-    if not 0.0 < args.grid <= 1.0:
-        print("error: need 0 < --grid <= 1", file=sys.stderr)
-        return 2
-    try:
-        levels = [int(x) for x in args.levels.split(",")]
-        records = u1_tradeoff_records(levels, args.grid)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    _write_records(records, args.format, args.out)
-    n_bad = sum(not r.ok for r in records)
-    print(f"# u1 tradeoff levels={args.levels} grid={args.grid}: "
-          f"{len(records)} records, {n_bad} bound violations", file=sys.stderr)
-    print("\n".join(records.near_miss_lines()), file=sys.stderr)
-    return 0 if n_bad == 0 else 1
+    return _run_sweep(args, f"u1 tradeoff levels={args.levels} grid={args.grid}",
+                      lambda: u1_tradeoff_records([int(x) for x in args.levels.split(",")],
+                                                  args.grid))
 
 
 def _cmd_u1_build(args) -> int:

@@ -96,11 +96,16 @@ def unitarity_jamiolkowski(channel: QuantumChannel) -> float:
 
 
 def unitarity_complementary(channel: QuantumChannel) -> float:
-    """Unitarity from the output purities of the channel and its complement."""
+    """Unitarity from the output purities of the channel and its complement.
+
+    The complement's output on I/d is the Kraus Gram matrix
+    sum_{o,i} K_e[o, i] conj(K_f[o, i]) / d, so the complementary channel
+    itself is never built.
+    """
     d = channel.d_in
-    mixed = np.eye(d) / d
-    gamma_comp = purity(channel.complementary().apply(mixed))
-    gamma_out = purity(channel.apply(mixed))
+    ks = np.stack(channel.kraus).reshape(channel.kraus_rank, -1)
+    gamma_comp = purity(ks @ ks.conj().T / d)
+    gamma_out = purity(channel.apply(np.eye(d) / d))
     return d / (d * d - 1) * (d * gamma_comp - gamma_out)
 
 

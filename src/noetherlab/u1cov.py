@@ -1,9 +1,10 @@
 """Time-translation covariant channels on a fixed non-degenerate spectrum.
 
-Energies live on an integer grid, so Bohr frequencies are exact integers
-and block membership is exact set arithmetic.  A channel is stored as a
-family of Jamiolkowski blocks indexed by Bohr frequency; the diagonal of
-the block family is the population-transfer stochastic matrix.
+Energies live on an integer grid, so Bohr frequencies are exact integers.
+A channel is stored as its Jamiolkowski state, which vanishes between level
+pairs with different Bohr frequencies E_m - E_n (each pair's frequency is
+its Bohr label); the diagonal of the state is the population-transfer
+stochastic matrix.
 
 Input and output systems share the same dimension and spectrum.  The
 rank-1-block construction below yields extremal channels but is known not
@@ -53,23 +54,18 @@ class EnergySpectrum:
     def width(self) -> int:
         return self.levels[-1] - self.levels[0]
 
-    def index_of(self, energy: int) -> int | None:
-        try:
-            return self.levels.index(energy)
-        except ValueError:
-            return None
+    def bohr_labels(self) -> np.ndarray:
+        """E_m - E_n for each Jamiolkowski index m * d + n."""
+        e = np.asarray(self.levels)
+        return (e[:, None] - e[None, :]).ravel()
 
     def bohr_frequencies(self) -> list[int]:
-        return sorted({em - en for em in self.levels for en in self.levels})
-
-    def block_members(self, bohr: int) -> list[int]:
-        """Output level indices m whose partner energy E_m - bohr is in the
-        spectrum; the pair list defining the bohr-block basis."""
-        return [m for m, em in enumerate(self.levels) if (em - bohr) in self.levels]
+        return sorted(set(self.bohr_labels().tolist()))
 
     def degeneracy(self) -> int:
         """g: the largest number of level pairs sharing one nonzero Bohr frequency."""
-        return max(len(self.block_members(b)) for b in self.bohr_frequencies() if b != 0)
+        labels = self.bohr_labels().tolist()
+        return max(labels.count(b) for b in self.bohr_frequencies() if b != 0)
 
 
 def assert_stochastic(p: np.ndarray, tol: float = TOL.tol_eq) -> None:
@@ -95,49 +91,40 @@ def _population(spectrum: EnergySpectrum, pop) -> np.ndarray:
     return pop
 
 
+def _same_label(spectrum: EnergySpectrum) -> np.ndarray:
+    """Mask of the Jamiolkowski entries between indices with equal Bohr labels."""
+    labels = spectrum.bohr_labels()
+    return labels[:, None] == labels[None, :]
+
+
 @dataclass(frozen=True)
 class U1BlockChannel:
-    """Bohr-frequency block form of a time-translation covariant channel.
-
-    ``blocks[bohr]`` is a PSD matrix over the pair basis
-    ``spectrum.block_members(bohr)``; absent keys are zero blocks.
+    """Jamiolkowski state of a time-translation covariant channel, on
+    H_out (x) H_in; it vanishes between indices with different
+    ``spectrum.bohr_labels()``, so each Bohr frequency is one block.
     """
 
     spectrum: EnergySpectrum
-    blocks: dict
+    jamiolkowski: np.ndarray
 
-    def block(self, bohr: int) -> np.ndarray:
-        members = self.spectrum.block_members(bohr)
-        if bohr in self.blocks:
-            return np.asarray(self.blocks[bohr])
-        return np.zeros((len(members), len(members)), dtype=complex)
+    def __post_init__(self):
+        j = np.array(self.jamiolkowski, dtype=complex)
+        n = self.spectrum.d ** 2
+        if j.shape != (n, n):
+            raise ValueError(f"Jamiolkowski state must be {n} x {n}, got shape {j.shape}")
+        if np.any(j[~_same_label(self.spectrum)]):
+            raise ValueError("Jamiolkowski state couples pairs with different Bohr frequencies")
+        j.flags.writeable = False
+        object.__setattr__(self, "jamiolkowski", j)
 
     def population_matrix(self) -> np.ndarray:
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""
         d = self.spectrum.d
-        p = np.zeros((d, d))
-        for bohr in self.spectrum.bohr_frequencies():
-            members = self.spectrum.block_members(bohr)
-            blk = self.block(bohr)
-            for i, m in enumerate(members):
-                n = self.spectrum.index_of(self.spectrum.levels[m] - bohr)
-                p[m, n] = d * float(np.real(blk[i, i]))
-        return p
-
-    def jamiolkowski(self) -> np.ndarray:
-        """Assemble the full Jamiolkowski state on H_out (x) H_in."""
-        d = self.spectrum.d
-        j = np.zeros((d * d, d * d), dtype=complex)
-        for bohr, blk in self.blocks.items():
-            members = self.spectrum.block_members(bohr)
-            idx = [m * d + self.spectrum.index_of(self.spectrum.levels[m] - bohr)
-                   for m in members]
-            j[np.ix_(idx, idx)] += np.asarray(blk)
-        return j
+        return d * np.real(np.diag(self.jamiolkowski)).reshape(d, d)
 
     def to_channel(self, tol: Tolerances = TOL) -> QuantumChannel:
         d = self.spectrum.d
-        return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski(), tol=tol)
+        return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski, tol=tol)
 
 
 def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
@@ -161,19 +148,17 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         phase_map[tuple(entry[:2])] = float(entry[2])
 
     d = spectrum.d
-    blocks = {}
-    for bohr in spectrum.bohr_frequencies():
-        members = spectrum.block_members(bohr)
-        amp = np.zeros(len(members), dtype=complex)
-        for i, m in enumerate(members):
-            n = spectrum.index_of(spectrum.levels[m] - bohr)
-            phi = phase_map.pop((bohr, m), 0.0)
-            amp[i] = np.exp(1j * phi) * np.sqrt(gamma[m, n] / d)
-        if np.any(np.abs(amp) > 0):
-            blocks[bohr] = np.outer(amp, amp.conj())
-    if phase_map:
-        raise ValueError(f"phases name no level pair (bohr, output_index): {list(phase_map)}")
-    return U1BlockChannel(spectrum=spectrum, blocks=blocks)
+    pair_index = {(bohr, k // d): k for k, bohr in enumerate(spectrum.bohr_labels().tolist())}
+    unmatched = [pair for pair in phase_map if pair not in pair_index]
+    if unmatched:
+        raise ValueError(f"phases name no level pair (bohr, output_index): {unmatched}")
+    phi = np.zeros(d * d)
+    for pair, value in phase_map.items():
+        phi[pair_index[pair]] = value
+    amp = np.exp(1j * phi) * np.sqrt(gamma.ravel() / d)
+    # + 0 turns the -0.0 entries of the outer product into 0.0
+    j = np.where(_same_label(spectrum), np.outer(amp, amp.conj()), 0) + 0
+    return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
 
 
 def build_dephasing(spectrum: EnergySpectrum, p: float) -> U1BlockChannel:
@@ -181,8 +166,10 @@ def build_dephasing(spectrum: EnergySpectrum, p: float) -> U1BlockChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("dephasing strength must lie in [0, 1]")
     d = spectrum.d
-    block0 = ((1.0 - p) * np.ones((d, d)) + p * np.eye(d)) / d
-    return U1BlockChannel(spectrum=spectrum, blocks={0: block0.astype(complex)})
+    diagonal_pairs = np.flatnonzero(spectrum.bohr_labels() == 0)
+    j = np.zeros((d * d, d * d), dtype=complex)
+    j[np.ix_(diagonal_pairs, diagonal_pairs)] = ((1.0 - p) * np.ones((d, d)) + p * np.eye(d)) / d
+    return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
 
 
 @dataclass(frozen=True)
@@ -198,11 +185,11 @@ class U1Stats:
 def _transfer_weights(spectrum: EnergySpectrum, pop: np.ndarray) -> tuple[dict, np.ndarray]:
     """Per-frequency transfer weights q_bohr of a population matrix (or of each
     matrix of a stack), and its bistochasticity defect b (= 1 iff bistochastic)."""
-    q = {}
-    for bohr in spectrum.bohr_frequencies():
-        members = spectrum.block_members(bohr)
-        q[bohr] = sum(
-            pop[..., m, spectrum.index_of(spectrum.levels[m] - bohr)] for m in members)
+    labels = spectrum.bohr_labels()
+    flat = pop.reshape(*pop.shape[:-2], -1)
+    # Python's sum in ascending index, i.e. ascending output level m
+    q = {bohr: sum(flat[..., k] for k in np.flatnonzero(labels == bohr))
+         for bohr in spectrum.bohr_frequencies()}
     b = np.sum(pop.sum(axis=-1) ** 2, axis=-1) / spectrum.d
     return q, b
 

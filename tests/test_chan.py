@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from noetherlab.chan import (
     ChannelValidationError,
     QuantumChannel,
+    covariance_residual,
     depolarizing_channel,
     identity_channel,
     max_action_deviation,
@@ -176,6 +177,20 @@ class TestChannelFile:
         loaded = QuantumChannel.load_json(path)
         assert max_action_deviation(e, loaded) < 1e-12
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from(["kraus", "liouville", "jamiolkowski"]))
+    @settings(max_examples=60, deadline=None)
+    def test_json_roundtrip_property(self, d_in, d_out, rank, seed, representation):
+        rank = max(rank, -(-d_in // d_out))
+        e = random_channel(d_in, d_out, rank, seed)
+        text = json.dumps(e.to_json_dict(representation))
+        loaded = QuantumChannel.from_json_dict(json.loads(text))
+        assert (loaded.d_in, loaded.d_out) == (d_in, d_out)
+        for name in ("liouville", "jamiolkowski"):
+            assert np.max(np.abs(getattr(loaded, name) - getattr(e, name))) < 1e-12
+        if representation == "kraus":
+            assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in zip(loaded.kraus, e.kraus))
+
     def test_wire_format(self, tmp_path):
         e = identity_channel(2)
         path = tmp_path / "chan.json"
@@ -185,3 +200,26 @@ class TestChannelFile:
         assert obj["repr"] == "kraus"
         # entries are [re, im] pairs
         assert obj["data"][0][0][0] == [1.0, 0.0]
+
+
+def dense_covariance_residual(channel, gens_in, gens_out):
+    """max |[J, g_out (x) I - I (x) g_in^*]| with every generator as a dense matrix."""
+    j = channel.jamiolkowski
+    res = 0.0
+    for g_in, g_out in zip(gens_in, gens_out):
+        gen = np.kron(g_out, np.eye(channel.d_in)) - np.kron(np.eye(channel.d_out), np.conj(g_in))
+        res = max(res, float(np.max(np.abs(j @ gen - gen @ j))))
+    return res
+
+
+class TestCovarianceResidual:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_generators(self, d_in, d_out, rank, seed):
+        rank = max(rank, -(-d_in // d_out))
+        e = random_channel(d_in, d_out, rank, seed)
+        rng = np.random.default_rng(seed)
+        gens_in = [ginibre(d_in, d_in, rng) for _ in range(2)]
+        gens_out = [ginibre(d_out, d_out, rng) for _ in range(2)]
+        dense = dense_covariance_residual(e, gens_in, gens_out)
+        assert abs(covariance_residual(e, gens_in, gens_out) - dense) <= 1e-12 * max(1.0, dense)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noetherlab.chan import (
     QuantumChannel,
@@ -20,7 +22,7 @@ from noetherlab.metrics import (
     unitarity_jamiolkowski,
     unitarity_su2_closed,
 )
-from noetherlab.numkit import haar_unitary, mat_exp_skew_hermitian
+from noetherlab.numkit import haar_unitary, mat_exp_skew_hermitian, purity
 from noetherlab.su2cov import CovariantMixture, coupled_labels, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
 from noetherlab.u1cov import EnergySpectrum, build_extremal
@@ -49,6 +51,19 @@ class TestUnitarity:
             e = random_channel(d_in, d_out, rank, rng)
             gap = abs(unitarity_jamiolkowski(e) - unitarity_complementary(e))
             assert gap < 1e-10
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_three_routes_agree(self, d_in, d_out, rank, seed):
+        rank = max(rank, -(-d_in // d_out))
+        e = random_channel(d_in, d_out, rank, seed)
+        mixed = np.eye(d_in) / d_in
+        # the complementary channel built and applied to I/d, as a third route
+        u_comp_channel = d_in / (d_in**2 - 1) * (
+            d_in * purity(e.complementary().apply(mixed)) - purity(e.apply(mixed)))
+        u_comp = unitarity_complementary(e)
+        assert abs(u_comp - u_comp_channel) < 1e-12
+        assert abs(unitarity_jamiolkowski(e) - u_comp) < 1e-12
 
     def test_isometry_criterion(self):
         rng = np.random.default_rng(2)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noetherlab.chan import identity_channel, max_action_deviation
 from noetherlab.metrics import deviation_avg, u1_generators, unitarity_jamiolkowski
 from noetherlab.u1cov import (
     EnergySpectrum,
+    U1BlockChannel,
     assert_stochastic,
     build_dephasing,
     build_extremal,
@@ -16,6 +19,20 @@ from noetherlab.u1cov import (
 
 def random_stochastic(d, rng):
     return rng.dirichlet([0.9] * d, size=d).T
+
+
+def block_assembly(levels, gamma, phases):
+    """J assembled one Bohr-frequency block at a time over explicit pair lists."""
+    d = len(levels)
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for bohr in sorted({a - b for a in levels for b in levels}):
+        pairs = [(m, levels.index(levels[m] - bohr)) for m in range(d)
+                 if levels[m] - bohr in levels]
+        amp = np.array([np.exp(1j * phases.get((bohr, m), 0.0)) * np.sqrt(gamma[m, n] / d)
+                        for m, n in pairs])
+        idx = [m * d + n for m, n in pairs]
+        j[np.ix_(idx, idx)] += np.outer(amp, amp.conj())
+    return j
 
 
 class TestSpectrum:
@@ -33,11 +50,15 @@ class TestSpectrum:
         assert EnergySpectrum((0, 1, 3)).degeneracy() == 1
 
     def test_block_members(self):
+        # output levels m of the pairs with each Bohr frequency
         spec = EnergySpectrum((0, 1, 3))
-        assert spec.block_members(0) == [0, 1, 2]
-        assert spec.block_members(1) == [1]
-        assert spec.block_members(2) == [2]
-        assert spec.block_members(3) == [2]
+        labels = spec.bohr_labels()
+        assert labels.tolist() == [0, -1, -3, 1, 0, -2, 3, 2, 0]
+        assert (np.flatnonzero(labels == 0) // 3).tolist() == [0, 1, 2]
+        assert (np.flatnonzero(labels == 1) // 3).tolist() == [1]
+        assert (np.flatnonzero(labels == 2) // 3).tolist() == [2]
+        assert (np.flatnonzero(labels == 3) // 3).tolist() == [2]
+        assert spec.bohr_frequencies() == [-3, -2, -1, 0, 1, 2, 3]
 
 
 class TestPopulationSize:
@@ -90,11 +111,26 @@ class TestBuildExtremal:
     def test_blocks_are_rank_one(self):
         rng = np.random.default_rng(1)
         spec = EnergySpectrum((0, 1, 2))
+        labels = spec.bohr_labels()
         for _ in range(20):
             ch = build_extremal(spec, random_stochastic(3, rng))
-            for blk in ch.blocks.values():
-                w = np.linalg.eigvalsh(blk)
-                assert np.sum(w > 1e-12) == 1
+            for bohr in spec.bohr_frequencies():
+                idx = np.flatnonzero(labels == bohr)
+                blk = ch.jamiolkowski[np.ix_(idx, idx)]
+                if np.any(blk):
+                    assert np.sum(np.linalg.eigvalsh(blk) > 1e-12) == 1
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_block_assembly(self, d, seed):
+        rng = np.random.default_rng(seed)
+        levels = sorted(rng.choice(12, size=d, replace=False).tolist())
+        gamma = random_stochastic(d, rng)
+        gamma[:, 0] = np.eye(d)[:, -1]  # zero amplitudes, whose phases must not leave -0.0
+        pairs = [(a - b, m) for m, a in enumerate(levels) for b in levels]
+        phases = {pair: float(rng.uniform(-4, 4)) for pair in pairs if rng.random() < 0.5}
+        ch = build_extremal(EnergySpectrum(tuple(levels)), gamma, phases=phases)
+        assert ch.jamiolkowski.tobytes() == block_assembly(levels, gamma, phases).tobytes()
 
     def test_block_support_is_exact(self):
         # entries of J connecting pairs with different Bohr frequencies vanish
@@ -103,7 +139,7 @@ class TestBuildExtremal:
             levels = sorted(rng.choice(range(9), size=3, replace=False))
             spec = EnergySpectrum(tuple(int(x) for x in levels))
             ch = build_extremal(spec, random_stochastic(3, rng))
-            j = ch.jamiolkowski()
+            j = ch.jamiolkowski
             d = spec.d
             for r in range(d * d):
                 for c in range(d * d):
@@ -117,7 +153,7 @@ class TestBuildExtremal:
         spec = EnergySpectrum((0, 1, 4))
         ch = build_extremal(spec, random_stochastic(3, rng),
                             phases=[(1, 1, 0.3), (4, 2, 1.9)])
-        j = ch.jamiolkowski()
+        j = ch.jamiolkowski
         e = np.array(spec.levels, dtype=float)
         for t in rng.uniform(0, 2 * np.pi, 10):
             u_out = np.diag(np.exp(-1j * t * e))
@@ -131,6 +167,33 @@ class TestBuildExtremal:
         phased = build_extremal(spec, gamma, phases={(0, 1): 1.2})
         assert np.allclose(plain.population_matrix(), phased.population_matrix())
         assert max_action_deviation(plain.to_channel(), phased.to_channel()) > 1e-3
+
+
+class TestU1BlockChannel:
+    def test_rejects_coupling_of_different_frequencies(self):
+        spec = EnergySpectrum((0, 1))
+        j = build_dephasing(spec, 0.0).jamiolkowski.copy()
+        j[0, 1] = j[1, 0] = 1e-300  # Bohr labels 0 and -1
+        with pytest.raises(ValueError, match="different Bohr frequencies"):
+            U1BlockChannel(spec, j)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="must be 4 x 4"):
+            U1BlockChannel(EnergySpectrum((0, 1)), np.eye(9) / 9)
+
+    def test_state_is_read_only(self):
+        ch = build_dephasing(EnergySpectrum((0, 1, 3)), 0.5)
+        with pytest.raises(ValueError):
+            ch.jamiolkowski[0, 0] = 1.0
+
+    def test_dephasing_state(self):
+        spec = EnergySpectrum((0, 2, 3))
+        j = build_dephasing(spec, 0.25).jamiolkowski
+        diagonal_pairs = np.flatnonzero(spec.bohr_labels() == 0)
+        assert diagonal_pairs.tolist() == [0, 4, 8]
+        block = j[np.ix_(diagonal_pairs, diagonal_pairs)]
+        assert np.allclose(block, (0.75 * np.ones((3, 3)) + 0.25 * np.eye(3)) / 3)
+        assert np.count_nonzero(j) == 9
 
 
 class TestDephasing:

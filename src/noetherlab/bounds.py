@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 
-def holds(lhs, rhs, tol: float = TOL.tol_eq):
-    """The acceptance rule of every bound, lhs <= rhs + tol; elementwise on arrays."""
-    return lhs <= rhs + tol
+def holds(lhs, rhs):
+    """The acceptance rule of every bound, lhs <= rhs + tol_eq; elementwise on arrays."""
+    return lhs <= rhs + TOL.tol_eq
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ class BoundCheck:
     applicable: bool = True
 
     @classmethod
-    def of(cls, name: str, lhs: float, rhs: float, applicable: bool = True,
-           tol: float = TOL.tol_eq) -> "BoundCheck":
+    def of(cls, name: str, lhs: float, rhs: float, applicable: bool = True) -> "BoundCheck":
         return cls(name=name, lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(holds(lhs, rhs, tol)), slack=float(rhs - lhs),
+                   satisfied=bool(holds(lhs, rhs)), slack=float(rhs - lhs),
                    applicable=applicable)
 
 
@@ -74,8 +73,7 @@ def _op_norm(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet,
-                        tol: float = TOL.tol_eq) -> BoundCheck:
+def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet) -> BoundCheck:
     """Deviation <= 2 n d (d-1) max_k (||J_out^k||_1 + ||J_in^k||_1)^2 (1 - u).
 
     Holds for any covariant channel with d_out <= d_in; for d_out > d_in it
@@ -83,7 +81,7 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet,
     flagged not-applicable when that condition fails.
     """
     res = covariance_residual(channel, gens.j_in, gens.j_out)
-    if res > 100 * tol:
+    if res > 100 * TOL.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     applicable = True
     if channel.d_out > channel.d_in:
@@ -94,11 +92,11 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet,
     u = unitarity_jamiolkowski(channel)
     delta = deviation_avg(channel, gens).delta_total
     rhs = 2 * gens.n * d * (d - 1) * norm**2 * (1 - u)
-    return BoundCheck.of("deviation_upper_general", delta, rhs, applicable=applicable, tol=tol)
+    return BoundCheck.of("deviation_upper_general", delta, rhs, applicable=applicable)
 
 
 def lower_bound_multiplicity_free(channel: QuantumChannel, gens: GeneratorSet,
-                                  f_table: dict, tol: float = TOL.tol_eq) -> BoundCheck:
+                                  f_table: dict) -> BoundCheck:
     """sqrt(Deviation) >= K ||J|| (1 - u) (d-1) sqrt(d+1) / (2 d^(5/2)).
 
     ``f_table`` maps each extremal-channel label to its Heisenberg scaling
@@ -114,7 +112,7 @@ def lower_bound_multiplicity_free(channel: QuantumChannel, gens: GeneratorSet,
     delta = deviation_avg(channel, gens).delta_total
     rhs = np.sqrt(delta)
     lhs = k_const * j_norm * (1 - u) * (d - 1) * np.sqrt(d + 1) / (2 * d**2.5)
-    return BoundCheck.of("sqrt_deviation_lower_multiplicity_free", lhs, rhs, tol=tol)
+    return BoundCheck.of("sqrt_deviation_lower_multiplicity_free", lhs, rhs)
 
 
 def su2_bound_sides(j: float, u, delta) -> tuple[tuple, tuple]:
@@ -131,13 +129,13 @@ def su2_bound_sides(j: float, u, delta) -> tuple[tuple, tuple]:
             ("su2_sqrt_deviation_upper", sqrt_delta, upper))
 
 
-def su2_bounds(mix: CovariantMixture, tol: float = TOL.tol_eq) -> tuple[BoundCheck, BoundCheck]:
+def su2_bounds(mix: CovariantMixture) -> tuple[BoundCheck, BoundCheck]:
     """Spin-system trade-off: both bounds on sqrt(Deviation) in terms of
     1 - u, evaluated with the exact closed forms (equal spins only)."""
     if mix.spin_in != mix.spin_out:
         raise ValueError("trade-off bounds require equal input and output spins")
     sides = su2_bound_sides(mix.spin_in.j, unitarity_su2_closed(mix), deviation_su2_closed(mix))
-    return tuple(BoundCheck.of(*side, tol=tol) for side in sides)
+    return tuple(BoundCheck.of(*side) for side in sides)
 
 
 def u1_cap_sides(d: int, g: int, width: int, delta, u) -> tuple:
@@ -151,27 +149,26 @@ def u1_cap_sides(d: int, g: int, width: int, delta, u) -> tuple:
     return "u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta)
 
 
-def u1_cap(d: int, g: int, width: int, delta: float, u: float,
-           tol: float = TOL.tol_eq) -> BoundCheck:
+def u1_cap(d: int, g: int, width: int, delta: float, u: float) -> BoundCheck:
     """The energy-conservation cap of :func:`u1_cap_sides` as one check."""
-    return BoundCheck.of(*u1_cap_sides(d, g, width, delta, u), tol=tol)
+    return BoundCheck.of(*u1_cap_sides(d, g, width, delta, u))
 
 
-def u1_bound(ch: U1BlockChannel, tol: float = TOL.tol_eq) -> BoundCheck:
+def u1_bound(ch: U1BlockChannel) -> BoundCheck:
     """Energy-conservation trade-off: unitarity is capped once the channel
     moves populations (see :func:`u1_cap`)."""
     spec = ch.spectrum
     delta = u1_deviation(spec, ch.population_matrix())
     u = unitarity_jamiolkowski(ch.to_channel())
-    return u1_cap(spec.d, spec.degeneracy(), spec.width, delta, u, tol=tol)
+    return u1_cap(spec.d, spec.degeneracy(), spec.width, delta, u)
 
 
 def diamond_bound_given_value(channel: QuantumChannel, gens: GeneratorSet,
-                              diamond_distance: float, tol: float = TOL.tol_eq) -> BoundCheck:
+                              diamond_distance: float) -> BoundCheck:
     """Deviation <= (diamond distance to a symmetric isometry)^2 times
     sum_k ||J_out^k||_inf^2, with the distance supplied by an external solver."""
     if diamond_distance < 0:
         raise ValueError("diamond distance must be nonnegative")
     delta = deviation_avg(channel, gens).delta_total
     rhs = diamond_distance**2 * sum(_op_norm(np.asarray(g)) ** 2 for g in gens.j_out)
-    return BoundCheck.of("deviation_upper_diamond", delta, rhs, tol=tol)
+    return BoundCheck.of("deviation_upper_diamond", delta, rhs)

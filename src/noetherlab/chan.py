@@ -16,7 +16,6 @@ import numpy as np
 
 from .numkit import (
     TOL,
-    Tolerances,
     dagger,
     haar_isometry,
     partial_trace,
@@ -50,12 +49,11 @@ class QuantumChannel:
     """A CPTP map between a d_in- and a d_out-dimensional system."""
 
     def __init__(self, d_in: int, d_out: int, *, kraus=None, liouville=None,
-                 jamiolkowski=None, stinespring=None, tol: Tolerances = TOL):
+                 jamiolkowski=None, stinespring=None):
         if sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring)) != 1:
             raise ValueError("provide exactly one representation")
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self.tol = tol
         self._kraus = None
         self._liouville = None
         self._jamiolkowski = None
@@ -92,16 +90,16 @@ class QuantumChannel:
             raise ChannelValidationError("channel representation has non-finite entries")
         j = self.jamiolkowski
         herm = float(np.max(np.abs(j - dagger(j))))
-        if herm > self.tol.tol_herm:
+        if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
         eigs = np.linalg.eigvalsh((j + dagger(j)) / 2)
         self.cp_min_eig = float(eigs[0])
-        if self.cp_min_eig < -self.tol.tol_psd:
+        if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
         marginal = partial_trace(j, self.d_out, self.d_in, keep="A")
         self.tp_residual = float(np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in)))
-        if self.tp_residual > self.tol.tol_eq:
+        if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(
                 f"not trace preserving: marginal residual {self.tp_residual:.2e}")
 
@@ -132,7 +130,7 @@ class QuantumChannel:
                 self._kraus = [v[:, e, :].copy() for e in range(d_env)]
             else:
                 w, vecs = np.linalg.eigh(self.jamiolkowski)
-                keep = w > self.tol.tol_psd
+                keep = w > TOL.tol_psd
                 self._kraus = [
                     np.sqrt(self.d_in * wi) * unvectorize(vecs[:, i], self.d_out, self.d_in)
                     for i, wi in enumerate(w) if keep[i]
@@ -146,10 +144,6 @@ class QuantumChannel:
             ks = self.kraus
             self._stinespring = np.stack(ks, axis=1).reshape(self.d_out * len(ks), self.d_in)
         return self._stinespring
-
-    @property
-    def d_env(self) -> int:
-        return self.stinespring.shape[0] // self.d_out
 
     @property
     def kraus_rank(self) -> int:
@@ -174,15 +168,12 @@ class QuantumChannel:
             return sum(dagger(k) @ y @ k for k in self._kraus)
         return unvectorize(dagger(self.liouville) @ vectorize(y), self.d_in)
 
-    def adjoint_liouville(self) -> np.ndarray:
-        return dagger(self.liouville)
-
     def compose(self, first: "QuantumChannel") -> "QuantumChannel":
         """The map self o first (apply ``first``, then ``self``)."""
         if first.d_out != self.d_in:
             raise ValueError("inner dimensions do not match")
         return QuantumChannel(first.d_in, self.d_out,
-                              liouville=self.liouville @ first.liouville, tol=self.tol)
+                              liouville=self.liouville @ first.liouville)
 
     def complementary(self) -> "QuantumChannel":
         """Trace out the output instead of the environment of the same dilation."""
@@ -190,7 +181,7 @@ class QuantumChannel:
         d_env = len(ks)
         stacked = np.stack(ks)  # (env, out, in)
         comp = [stacked[:, b, :] for b in range(self.d_out)]  # each d_env x d_in
-        return QuantumChannel(self.d_in, d_env, kraus=comp, tol=self.tol)
+        return QuantumChannel(self.d_in, d_env, kraus=comp)
 
     # -- serialization ------------------------------------------------------
 
@@ -209,28 +200,25 @@ class QuantumChannel:
         return {"d_in": self.d_in, "d_out": self.d_out, "repr": representation, "data": data}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, tol: Tolerances = TOL) -> "QuantumChannel":
+    def from_json_dict(cls, obj: dict) -> "QuantumChannel":
         def dec(m):
             return np.array([[complex(re, im) for re, im in row] for row in m])
 
         rep = obj["repr"]
         d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
-        if rep == "kraus":
-            return cls(d_in, d_out, kraus=[dec(k) for k in obj["data"]], tol=tol)
-        if rep == "liouville":
-            return cls(d_in, d_out, liouville=dec(obj["data"]), tol=tol)
-        if rep == "jamiolkowski":
-            return cls(d_in, d_out, jamiolkowski=dec(obj["data"]), tol=tol)
-        raise ValueError(f"unknown representation {rep!r}")
+        if rep not in ("kraus", "liouville", "jamiolkowski"):
+            raise ValueError(f"unknown representation {rep!r}")
+        data = [dec(k) for k in obj["data"]] if rep == "kraus" else dec(obj["data"])
+        return cls(d_in, d_out, **{rep: data})
 
     def save_json(self, path, representation: str = "kraus") -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(representation), fh)
 
     @classmethod
-    def load_json(cls, path, tol: Tolerances = TOL) -> "QuantumChannel":
+    def load_json(cls, path) -> "QuantumChannel":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh), tol=tol)
+            return cls.from_json_dict(json.load(fh))
 
     def __repr__(self) -> str:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out})"

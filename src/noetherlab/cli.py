@@ -411,12 +411,10 @@ def _cmd_su2_channel(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    payload = channel.to_json_dict(args.representation)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
+        channel.save_json(args.out, args.representation)
     else:
-        print(json.dumps(payload))
+        print(json.dumps(channel.to_json_dict(args.representation)))
     return 0
 
 
@@ -434,9 +432,11 @@ def _cmd_u1_build(args) -> int:
         ch = u1cov.build_extremal(spec, np.array(obj["gamma"], dtype=float),
                                   phases=obj.get("phases"))
         channel = ch.to_channel()
-    except (ValueError, TypeError, KeyError, OSError) as err:
+    except (ValueError, TypeError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.out:
+        channel.save_json(args.out, "jamiolkowski")
     check = bnd.u1_bound(ch)
     summary = {
         "levels": list(spec.levels),
@@ -446,12 +446,13 @@ def _cmd_u1_build(args) -> int:
         "bound_satisfied": check.satisfied,
     }
     print(json.dumps(summary, sort_keys=True))
-    if args.out:
-        channel.save_json(args.out, "jamiolkowski")
     return 0
 
 
 def _cmd_verify_all(args) -> int:
+    if args.seed < 0 or args.samples < 100:
+        print("error: need --seed >= 0 and --samples >= 100", file=sys.stderr)
+        return 2
     report = run_verification(args.seed, args.samples, inject_corrupt=args.inject_corrupt)
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if report["all_passed"] else 1
@@ -459,7 +460,11 @@ def _cmd_verify_all(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # an unreadable input or unwritable --out file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ class McEstimate:
     samples: int
     seed: int
 
-    def within(self, reference: float, n_sigma: float = 3.0, floor: float = 1e-12) -> bool:
-        return abs(self.mean - reference) <= n_sigma * self.std_error + floor
+    def within(self, reference: float, n_sigma: float = 3.0) -> bool:
+        return abs(self.mean - reference) <= n_sigma * self.std_error + 1e-12
 
 
 def _reduce(chunks_fn, samples: int, seed: int) -> McEstimate:

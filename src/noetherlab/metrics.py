@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import QuantumChannel
-from .numkit import TOL, dagger, purity
+from .numkit import TOL, is_hermitian, purity
 from .su2cov import CovariantMixture, check_weights, coupled_labels
 from .su2rep import SpinJ, spin_operators
 
@@ -48,8 +48,7 @@ class GeneratorSet:
         for ops in (self.j_in, self.j_out):
             for g in ops:
                 g = np.asarray(g)
-                if (np.max(np.abs(g - dagger(g))) > TOL.tol_herm
-                        or abs(np.trace(g)) > TOL.tol_eq):
+                if not is_hermitian(g) or abs(np.trace(g)) > TOL.tol_eq:
                     raise ValueError("generators must be Hermitian and traceless")
 
     @property
@@ -144,11 +143,11 @@ def unitarity_su2_closed(mix: CovariantMixture) -> float:
     return float(su2_closed_forms(mix.weights, mix.spin_in, mix.spin_out)[0])
 
 
-def purity_condition_holds(channel: QuantumChannel, slack: float = 1e-12) -> bool:
-    """Whether tr(E(I/d_in)^2) >= 1/d_in, the side condition under which the
-    general unitarity upper bound extends to d_out > d_in."""
+def purity_condition_holds(channel: QuantumChannel) -> bool:
+    """Whether tr(E(I/d_in)^2) >= 1/d_in (within 1e-12), the side condition under
+    which the general unitarity upper bound extends to d_out > d_in."""
     d = channel.d_in
-    return purity(channel.apply(np.eye(d) / d)) >= 1.0 / d - slack
+    return purity(channel.apply(np.eye(d) / d)) >= 1.0 / d - 1e-12
 
 
 def delta_generators(channel: QuantumChannel, gens: GeneratorSet) -> list[np.ndarray]:

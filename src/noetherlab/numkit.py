@@ -40,13 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances for validity checks (all in [0, 1e-3])."""
+    """Numerical tolerances (all in [0, 1e-3]); every check reads the one instance TOL."""
 
     tol_herm: float = 1e-9
     tol_trace: float = 1e-10
     tol_psd: float = 1e-9
     tol_norm: float = 1e-9
     tol_eq: float = 1e-9
+    tol_sum: float = 1e-6  # sum of a simplex weight vector
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -129,37 +130,37 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
-def is_hermitian(x: np.ndarray, tol: float = TOL.tol_herm) -> bool:
-    return bool(np.max(np.abs(x - dagger(x))) <= tol)
+def is_hermitian(x: np.ndarray) -> bool:
+    return bool(np.max(np.abs(x - dagger(x))) <= TOL.tol_herm)
 
 
-def is_psd(x: np.ndarray, tol: float = TOL.tol_psd) -> bool:
-    return bool(np.min(np.linalg.eigvalsh((x + dagger(x)) / 2)) >= -tol)
+def is_psd(x: np.ndarray) -> bool:
+    return bool(np.min(np.linalg.eigvalsh((x + dagger(x)) / 2)) >= -TOL.tol_psd)
 
 
-def assert_pure_state(v: np.ndarray, tol: Tolerances = TOL) -> None:
+def assert_pure_state(v: np.ndarray) -> None:
     """Raise ValueError unless v is a finite unit-norm state vector."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError(f"not a vector: shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite amplitudes")
-    if abs(np.linalg.norm(v) - 1.0) > tol.tol_norm:
+    if abs(np.linalg.norm(v) - 1.0) > TOL.tol_norm:
         raise ValueError(f"norm {np.linalg.norm(v)} != 1 within tolerance")
 
 
-def assert_density_matrix(rho: np.ndarray, tol: Tolerances = TOL) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"not a square matrix: shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("non-finite entries")
-    if not is_hermitian(rho, tol.tol_herm):
+    if not is_hermitian(rho):
         raise ValueError("not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol.tol_trace:
+    if abs(np.trace(rho) - 1.0) > TOL.tol_trace:
         raise ValueError(f"trace {np.trace(rho)} != 1 within tolerance")
-    if not is_psd(rho, tol.tol_psd):
+    if not is_psd(rho):
         raise ValueError("negative eigenvalue beyond tolerance")
 
 
@@ -202,10 +203,10 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     return haar_isometry(d, d, seed)
 
 
-def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0, tol: float = TOL.tol_herm) -> np.ndarray:
+def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i t H) for Hermitian H, computed by eigendecomposition (unitary)."""
     h = np.asarray(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * t * w)) @ dagger(v)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chan import QuantumChannel, covariance_residual
-from .numkit import TOL, Tolerances
+from .numkit import TOL
 from .su2rep import ItoBasis, SpinJ, cg, ito_basis, spin_operators
 
 __all__ = [
@@ -54,14 +54,14 @@ def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
     """Validate simplex weights over ``coupled_labels(spin_in, spin_out)``.
 
     ``weights`` is one probability vector or an ``(..., n)`` stack of them;
-    every entry must be >= -tol_eq and every vector must sum to 1 within 1e-6.
+    every entry must be >= -tol_eq and every vector must sum to 1 within tol_sum.
     Returns the weights as a float array of the same shape.
     """
     n = len(coupled_labels(spin_in, spin_out))
     w = np.asarray(weights, dtype=float)
     if w.shape[-1:] != (n,):
         raise ValueError(f"expected {n} weights, got {w.shape}")
-    if not ((w >= -TOL.tol_eq).all() and (abs(w.sum(axis=-1) - 1.0) <= 1e-6).all()):
+    if not ((w >= -TOL.tol_eq).all() and (abs(w.sum(axis=-1) - 1.0) <= TOL.tol_sum).all()):
         raise ValueError("weights must be a probability distribution")
     return w
 
@@ -147,40 +147,37 @@ def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarr
     return [scale * t for t in ito_basis(spin_in, spin_out).family(two_l)]
 
 
-def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int,
-                     tol: Tolerances = TOL) -> QuantumChannel:
+def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> QuantumChannel:
     """The extremal covariant channel E^L (Kraus rank 2L + 1)."""
     return QuantumChannel(spin_in.dim, spin_out.dim,
-                          kraus=extremal_kraus(spin_in, spin_out, two_l), tol=tol)
+                          kraus=extremal_kraus(spin_in, spin_out, two_l))
 
 
-def covariant_channel(mix: CovariantMixture, tol: Tolerances = TOL) -> QuantumChannel:
+def covariant_channel(mix: CovariantMixture) -> QuantumChannel:
     """Assemble sum_L p_L E^L from its Jamiolkowski block weights."""
     j = _block_state(ito_basis(mix.spin_in, mix.spin_out), mix.weights)
-    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j, tol=tol)
+    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j)
 
 
-def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
-              tol: Tolerances = TOL) -> CovariantMixture:
+def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> CovariantMixture:
     """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel.
 
     Round-off negatives down to -tol_psd are clipped to 0; a weight below that
     is an error, reported with the mass clipping would have discarded.
     """
     res = covariance_residual(channel, spin_operators(spin_in), spin_operators(spin_out))
-    if res > tol.tol_eq:
+    if res > TOL.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     weights = _block_weights(ito_basis(spin_in, spin_out), channel.jamiolkowski).tolist()
-    if min(weights) < -tol.tol_psd:
+    if min(weights) < -TOL.tol_psd:
         clipped = -sum(w for w in weights if w < 0)
-        raise ValueError(f"simplex weight {min(weights):.2e} below -tol_psd={-tol.tol_psd:.0e}: "
+        raise ValueError(f"simplex weight {min(weights):.2e} below -tol_psd={-TOL.tol_psd:.0e}: "
                          f"clipping would discard mass {clipped:.2e}")
     weights = [max(0.0, w) for w in weights]
     return CovariantMixture(spin_in, spin_out, tuple(weights))
 
 
-def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
-          tol: Tolerances = TOL) -> QuantumChannel:
+def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumChannel:
     """Group-average a channel onto the covariant simplex.
 
     Implemented exactly as a block projection of the Jamiolkowski state: the
@@ -189,7 +186,7 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ,
     """
     basis = ito_basis(spin_in, spin_out)
     out = _block_state(basis, _block_weights(basis, channel.jamiolkowski))
-    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out, tol=tol)
+    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out)
 
 
 @lru_cache(maxsize=None)

@@ -212,9 +212,6 @@ class ItoBasis:
         """Operators of irrep two_l ordered by descending m."""
         return [self.ops[(two_l, tm)] for tm in range(two_l, -two_l - 2, -2)]
 
-    def all_ops(self) -> list[np.ndarray]:
-        return [self.ops[k] for k in sorted(self.ops)]
-
 
 @lru_cache(maxsize=None)
 def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:

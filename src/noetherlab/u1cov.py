@@ -14,12 +14,13 @@ claim is made here.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chan import QuantumChannel
-from .numkit import TOL, Tolerances
+from .numkit import TOL
 
 __all__ = [
     "EnergySpectrum",
@@ -34,16 +35,26 @@ __all__ = [
 ]
 
 
+def _real(x) -> bool:
+    """A number, not a bool, below 2**53 in magnitude (so floats hold its integers exactly)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) < 2**53
+
+
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """Strictly increasing integer energy levels of a non-degenerate Hamiltonian."""
+    """Two or more strictly increasing integer levels of a non-degenerate Hamiltonian."""
 
     levels: tuple
 
     def __post_init__(self):
-        lv = tuple(int(x) for x in self.levels)
-        if len(lv) < 1 or any(b <= a for a, b in zip(lv, lv[1:])):
-            raise ValueError("levels must be strictly increasing integers")
+        # no level is silently changed, as int(1.5), int("0") or int(True) would
+        lv = tuple(self.levels)
+        bad = [x for x in lv if not (_real(x) and float(x).is_integer())]
+        if bad:
+            raise ValueError(f"energy level {bad[0]!r} is not an integer of magnitude < 2**53")
+        lv = tuple(int(x) for x in lv)
+        if len(lv) < 2 or any(b <= a for a, b in zip(lv, lv[1:])):
+            raise ValueError("levels must be two or more strictly increasing integers")
         object.__setattr__(self, "levels", lv)
 
     @property
@@ -68,16 +79,18 @@ class EnergySpectrum:
         return max(labels.count(b) for b in self.bohr_frequencies() if b != 0)
 
 
-def assert_stochastic(p: np.ndarray, tol: float = TOL.tol_eq) -> None:
+def assert_stochastic(p: np.ndarray) -> None:
     """Check a column-stochastic matrix, or every matrix of a ``(..., d, d)`` stack."""
     p = np.asarray(p)
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError("population matrix must be square")
     if not np.all(np.isfinite(p)):
         raise ValueError("population matrix has non-finite entries")
-    if np.any(p < -tol):
+    if np.any(p < -TOL.tol_eq):
         raise ValueError("population matrix has negative entries")
-    if np.any(np.abs(p.sum(axis=-2) - 1.0) > max(tol, 1e-9)):
+    if np.any(p > 1.0 + TOL.tol_eq):  # also keeps the column sums below overflow
+        raise ValueError("population matrix has entries above 1")
+    if np.any(np.abs(p.sum(axis=-2) - 1.0) > TOL.tol_eq):
         raise ValueError("population matrix columns must sum to 1")
 
 
@@ -122,9 +135,9 @@ class U1BlockChannel:
         d = self.spectrum.d
         return d * np.real(np.diag(self.jamiolkowski)).reshape(d, d)
 
-    def to_channel(self, tol: Tolerances = TOL) -> QuantumChannel:
+    def to_channel(self) -> QuantumChannel:
         d = self.spectrum.d
-        return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski, tol=tol)
+        return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski)
 
 
 def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
@@ -143,7 +156,7 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         phases = [(b, m, v) for (b, m), v in phases.items()]
     phase_map = {}
     for entry in () if phases is None else phases:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not _real(entry[2]):
             raise ValueError(f"phase {entry!r} is not a [bohr, output_index, radians] triple")
         phase_map[tuple(entry[:2])] = float(entry[2])
 

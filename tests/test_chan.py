@@ -117,10 +117,6 @@ class TestAdjoint:
         assert abs(np.trace(e.apply(x) @ y) - np.trace(x @ e.apply_adjoint(y))) < 1e-10
         assert np.allclose(e.apply_adjoint(np.eye(2)), np.eye(3), atol=1e-10)
 
-    def test_double_adjoint_is_original(self):
-        e = random_channel(2, 2, 2, 9)
-        assert np.allclose(dagger(e.adjoint_liouville()), e.liouville)
-
     def test_spin_flip_factor(self):
         from noetherlab.su2rep import spin_operators
 

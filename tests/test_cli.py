@@ -183,14 +183,43 @@ class TestU1Build:
         '{"levels": [0, 1], "gamma": [[NaN, 1], [1, 0]]}',
         '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[1, 5, 0.1]]}',
         '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[1, 1]]}',
-    ], ids=["nan_gamma", "absent_pair_phase", "short_phase"])
+        '{"levels": [0, 1.5], "gamma": [[1, 0], [0, 1]]}',
+        '{"levels": ["0", "1"], "gamma": [[1, 0], [0, 1]]}',
+        '{"levels": [true, 2], "gamma": [[1, 0], [0, 1]]}',
+        '{"levels": [0], "gamma": [[1]]}',
+    ], ids=["nan_gamma", "absent_pair_phase", "short_phase", "non_integral_level",
+            "string_levels", "bool_level", "one_level"])
     def test_malformed_spec_exit_2(self, tmp_path, spec):
         spec_file = tmp_path / "in.json"
         spec_file.write_text(spec)
         assert_usage_error(*run_cli("u1", "build", "--json", str(spec_file)))
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["su2", "tradeoff", "--two-j", "1", "--grid", "0.5"],
+        ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.5"],
+        ["su2", "channel", "--two-jA", "1", "--two-jB", "1", "--two-L", "2"],
+        ["u1", "build", "--json", "{spec}"],
+    ], ids=["su2_tradeoff", "u1_tradeoff", "su2_channel", "u1_build"])
+    def test_exit_2_with_one_line(self, tmp_path, command):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"levels": [0, 1], "gamma": [[1.0, 0.0], [0.0, 1.0]]}))
+        out = tmp_path / "missing" / "out"
+        argv = [arg.format(spec=spec) for arg in command]
+        code, stdout, err = run_cli(*argv, "--out", str(out))
+        assert_usage_error(code, stdout, err)
+        assert str(out) in err
+
+
 class TestVerify:
+    @pytest.mark.parametrize("flags", [["--samples", "50"], ["--samples=-5"], ["--seed=-1"]],
+                             ids=["samples_50", "samples_negative", "seed_negative"])
+    def test_bad_seed_or_samples_exit_2(self, flags):
+        code, out, err = run_cli("verify", "all", *flags)
+        assert_usage_error(code, out, err)
+        assert "--samples >= 100" in err
+
     def test_default_run_passes(self):
         code, out, _ = run_cli("verify", "all", "--seed", "3", "--samples", "1000")
         assert code == 0

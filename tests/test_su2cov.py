@@ -13,7 +13,7 @@ from noetherlab.chan import (
     random_channel,
     unitary_channel,
 )
-from noetherlab.numkit import Tolerances, dagger, haar_pure, haar_unitary
+from noetherlab.numkit import dagger, haar_pure, haar_unitary
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -144,12 +144,14 @@ class TestSimplexGeometry:
         # trace-preserving and covariant, but not CP when a weight is negative
         j = sum(p * irrep_projector(spin, spin, two_l) / (two_l + 1)
                 for two_l, p in zip(coupled_labels(spin, spin), weights))
-        return QuantumChannel(spin.dim, spin.dim, jamiolkowski=j, tol=Tolerances(tol_psd=1e-3))
+        return QuantumChannel(spin.dim, spin.dim, jamiolkowski=j)
 
     def test_decompose_rejects_negative_weight(self):
+        # p_2 = -4e-9 spreads over five eigenvalues of -8e-10, inside tol_psd, so
+        # the channel is accepted; the weight itself is below -tol_psd
         s = SpinJ(2)
-        e = self._channel_with_weights(s, (-1e-5, 0.5, 0.5 + 1e-5))
-        with pytest.raises(ValueError, match="clipping would discard mass 1.00e-05"):
+        e = self._channel_with_weights(s, (0.5, 0.5 + 4e-9, -4e-9))
+        with pytest.raises(ValueError, match="clipping would discard mass 4.00e-09"):
             decompose(e, s, s)
 
     def test_decompose_clips_round_off(self):

@@ -204,12 +204,12 @@ class TestSpinOperators:
 class TestItoBasis:
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_orthonormal_and_complete(self, two_j):
-        b = ito_basis(SpinJ(two_j))
-        ops = b.all_ops()
+        # row k of vectors is vectorize(T_k), so the Gram matrix tr(T_k^dag T_l)
+        # is vectors^* vectors^T
+        v = ito_basis(SpinJ(two_j)).vectors
         d = two_j + 1
-        assert len(ops) == d * d
-        gram = np.array([[np.trace(dagger(x) @ y) for y in ops] for x in ops])
-        assert np.allclose(gram, np.eye(d * d), atol=1e-12)
+        assert v.shape == (d * d, d * d)
+        assert np.allclose(v.conj() @ v.T, np.eye(d * d), atol=1e-12)
 
     def test_trivial_and_spin_sector(self):
         for two_j in (1, 2, 4):
@@ -247,10 +247,10 @@ class TestItoBasis:
     def test_rectangular_family(self):
         b = ito_basis(SpinJ(1), SpinJ(2))
         assert b.irrep_labels() == [1, 3]
-        ops = b.all_ops()
-        gram = np.array([[np.trace(dagger(x) @ y) for y in ops] for x in ops])
-        assert np.allclose(gram, np.eye(len(ops)), atol=1e-12)
-        assert ops[0].shape == (3, 2)
+        v = b.vectors
+        assert v.shape == (6, 6)
+        assert np.allclose(v.conj() @ v.T, np.eye(6), atol=1e-12)
+        assert b.family(1)[0].shape == (3, 2)
 
     def test_rectangular_family_is_rotation_closed(self):
         # U_out(g) T U_in(g)^dag stays inside the span of the same irrep family

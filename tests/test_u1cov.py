@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,33 @@ class TestSpectrum:
             EnergySpectrum((0, 0, 1))
         with pytest.raises(ValueError):
             EnergySpectrum((3, 1))
+
+    @pytest.mark.parametrize("levels", [(0,), ()], ids=["one_level", "empty"])
+    def test_rejects_fewer_than_two_levels(self, levels):
+        with pytest.raises(ValueError, match="two or more"):
+            EnergySpectrum(levels)
+
+    @pytest.mark.parametrize("levels,bad", [
+        ((0, 1.5), "1.5"),
+        (("0", "1"), "'0'"),
+        ((True, 2), "True"),
+        ((0, np.bool_(True)), "np.True_"),
+        ((0, float("nan")), "nan"),
+        ((0, float("inf")), "inf"),
+        ((0, None), "None"),
+        ((0, 2**53), str(2**53)),
+        ((0, 1e300), "1e+300"),
+    ], ids=["non_integral", "strings", "bool", "numpy_bool", "nan", "inf", "none", "2**53", "huge"])
+    def test_rejects_non_integer_levels_by_name(self, levels, bad):
+        # no level is silently changed: int(1.5), int("0") and int(True) would be
+        with pytest.raises(ValueError, match=rf"energy level {re.escape(bad)} is not an integer"):
+            EnergySpectrum(levels)
+
+    def test_accepts_numpy_integers_and_integral_floats(self):
+        spec = EnergySpectrum((np.int64(0), 2.0, np.float64(5.0), 2**53 - 1))
+        assert spec.levels == (0, 2, 5, 2**53 - 1)
+        assert EnergySpectrum(iter([0, 1])).levels == (0, 1)
+        assert all(type(x) is int for x in spec.levels)
 
     def test_width_and_degeneracy(self):
         spec = EnergySpectrum((0, 1, 2, 3))
@@ -102,9 +131,12 @@ class TestBuildExtremal:
         with pytest.raises(ValueError, match="non-finite"):
             assert_stochastic(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
-    @pytest.mark.parametrize("phases", [[(1, 0, 0.3)], [(2, 1, 0.3)], [(1, 1)], [5]])
+    @pytest.mark.parametrize("phases", [[(1, 0, 0.3)], [(2, 1, 0.3)], [(1, 1)], [5],
+                                        [(1, 1, np.nan)], [(1, 1, np.inf)], [(1, 1, "0.5")],
+                                        [(1, 1, True)]])
     def test_rejects_malformed_phases(self, phases):
-        # on a qubit the only pair with Bohr frequency 1 has output index 1
+        # on a qubit the only pair with Bohr frequency 1 has output index 1; an
+        # angle must be a finite number (numpy would warn on nan and inf)
         with pytest.raises(ValueError, match="phase"):
             build_extremal(EnergySpectrum((0, 1)), np.eye(2), phases=phases)
 

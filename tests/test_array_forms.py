@@ -127,8 +127,8 @@ class TestU1ArrayForms:
     @pytest.mark.parametrize("entry, value, match", [
         ((1, 0, 0), -0.1, "negative"),
         ((1, 0, 0), 0.9, "sum to 1"),
-        ((1, 0, 0), 2.0, "above 1"),  # checked before the sums, which could overflow
         ((2, 1, 1), np.inf, "non-finite"),
+        ((1, 0, 0), 2.0, "above 1"),  # checked before the sums, which could overflow
     ])
     def test_one_bad_matrix_rejects_the_stack(self, entry, value, match):
         pops = np.tile(np.eye(2), (3, 1, 1))

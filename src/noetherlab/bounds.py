@@ -81,7 +81,7 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet) -> BoundChe
     flagged not-applicable when that condition fails.
     """
     res = covariance_residual(channel, gens.j_in, gens.j_out)
-    if res > 100 * TOL.tol_eq:
+    if res > TOL.tol_eq:
         raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     applicable = True
     if channel.d_out > channel.d_in:
@@ -159,8 +159,7 @@ def u1_bound(ch: U1BlockChannel) -> BoundCheck:
     moves populations (see :func:`u1_cap`)."""
     spec = ch.spectrum
     delta = u1_deviation(spec, ch.population_matrix())
-    u = unitarity_jamiolkowski(ch.to_channel())
-    return u1_cap(spec.d, spec.degeneracy(), spec.width, delta, u)
+    return u1_cap(spec.d, spec.degeneracy(), spec.width, delta, unitarity_jamiolkowski(ch))
 
 
 def diamond_bound_given_value(channel: QuantumChannel, gens: GeneratorSet,

@@ -26,8 +26,8 @@ from .chan import ChannelValidationError, QuantumChannel, max_action_deviation, 
 from .numkit import TOL, haar_pure, parallel_map
 from .su2rep import SpinJ
 
-__all__ = ["TradeoffRecord", "TradeoffSweep", "main", "simplex_grid", "su2_tradeoff_records",
-           "u1_tradeoff_records"]
+__all__ = ["MAX_SWEEP_CELLS", "TradeoffRecord", "TradeoffSweep", "main", "simplex_grid",
+           "su2_tradeoff_records", "u1_tradeoff_records"]
 
 _CSV_TAIL = ["delta", "sqrt_delta", "unitarity", "one_minus_u", "bound_lower", "bound_upper", "ok"]
 
@@ -79,10 +79,21 @@ def simplex_grid(n_parts: int, n_steps: int):
 
 def _grid_steps(grid: float) -> int:
     """The step count n of a sweep grid 1/n."""
-    n_steps = round(1.0 / grid)
-    if abs(1.0 / grid - n_steps) > TOL.tol_eq:
+    steps = 1.0 / grid if 0.0 < grid <= 1.0 else 0.0
+    n_steps = round(steps) if math.isfinite(steps) else 0  # 1 / 5e-324 is inf
+    if n_steps < 1 or abs(steps - n_steps) > TOL.tol_eq:
         raise ValueError(f"grid must be 1/n for an integer n, got {grid}")
     return n_steps
+
+
+# Cells (rows x weights per row) of the largest weight array a sweep may hold,
+# 32 MB of float64; a larger sweep is refused before anything is allocated.
+MAX_SWEEP_CELLS = 4_000_000
+
+
+def _check_sweep_size(rows: int, columns: int) -> None:
+    if rows * columns > MAX_SWEEP_CELLS:
+        raise ValueError(f"sweep exceeds {MAX_SWEEP_CELLS} weight cells; use a coarser --grid")
 
 
 class TradeoffSweep(list):
@@ -115,7 +126,11 @@ def _ok_and_slack(sides) -> tuple[np.ndarray, dict]:
 def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     spin = SpinJ(two_j)
     n = two_j + 1
-    weights = np.fromiter(chain.from_iterable(simplex_grid(n, _grid_steps(grid))),
+    n_steps = _grid_steps(grid)
+    # C(n_steps + two_j, two_j) >= n_steps + two_j rows; checking that first keeps comb small
+    _check_sweep_size(n_steps + two_j, n)
+    _check_sweep_size(math.comb(n_steps + two_j, two_j), n)
+    weights = np.fromiter(chain.from_iterable(simplex_grid(n, n_steps)),
                           dtype=float).reshape(-1, n)
     u, delta = metrics.su2_closed_forms(weights, spin, spin)
     sides = bnd.su2_bound_sides(spin.j, u, delta)
@@ -139,6 +154,7 @@ def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
     if spec.d != 2:
         raise ValueError("the population-grid sweep is defined for two-level spectra")
     n_steps = _grid_steps(grid)
+    _check_sweep_size((n_steps + 1) ** 2, 4)
     values = np.arange(n_steps + 1) / n_steps
     p00, p11 = (a.ravel() for a in np.meshgrid(values, values, indexing="ij"))
     pops = np.stack([p00, 1.0 - p11, 1.0 - p00, p11], axis=-1).reshape(-1, 2, 2)
@@ -428,19 +444,20 @@ def _cmd_u1_build(args) -> int:
     try:
         with open(args.json_path) as fh:
             obj = json.load(fh)
+        for key in ("levels", "gamma"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"spec {args.json_path} has no {key!r}")
         spec = u1cov.EnergySpectrum(tuple(obj["levels"]))
-        ch = u1cov.build_extremal(spec, np.array(obj["gamma"], dtype=float),
-                                  phases=obj.get("phases"))
-        channel = ch.to_channel()
-    except (ValueError, TypeError, KeyError) as err:
+        ch = u1cov.build_extremal(spec, obj["gamma"], phases=obj.get("phases"))
+    except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.out:
-        channel.save_json(args.out, "jamiolkowski")
+        ch.save_json(args.out, "jamiolkowski")
     check = bnd.u1_bound(ch)
     summary = {
         "levels": list(spec.levels),
-        "unitarity": metrics.unitarity_jamiolkowski(channel),
+        "unitarity": check.lhs,
         "deviation": u1cov.u1_deviation(spec, ch.population_matrix()),
         "bound_upper": check.rhs,
         "bound_satisfied": check.satisfied,

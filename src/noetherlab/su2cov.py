@@ -19,7 +19,7 @@ import numpy as np
 
 from .chan import QuantumChannel, covariance_residual
 from .numkit import TOL
-from .su2rep import ItoBasis, SpinJ, cg, ito_basis, spin_operators
+from .su2rep import ItoBasis, SpinJ, cg, coupled_labels, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
@@ -41,13 +41,6 @@ __all__ = [
     "spin_polarization",
     "environment_spin_generators",
 ]
-
-
-def coupled_labels(spin_in: SpinJ, spin_out: SpinJ) -> list[int]:
-    """two_L labels of the irreps in H_out (x) H_in, ascending."""
-    lo = abs(spin_out.two_j - spin_in.two_j)
-    hi = spin_out.two_j + spin_in.two_j
-    return list(range(lo, hi + 2, 2))
 
 
 def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
@@ -117,9 +110,7 @@ class KappaReport:
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
     """Projector onto the spin-L irrep of H_out (x) H_in under U_out (x) U_in^*,
     built on each call (the simplex operations below never form it)."""
-    if two_l not in coupled_labels(spin_in, spin_out):
-        raise ValueError(f"two_l={two_l} outside the admissible ladder")
-    rows = np.array(ito_basis(spin_in, spin_out).family(two_l)).reshape(two_l + 1, -1)
+    rows = ito_basis(spin_in, spin_out).family(two_l).reshape(two_l + 1, -1)
     return rows.T @ rows.conj()
 
 
@@ -127,24 +118,22 @@ def _block_weights(basis: ItoBasis, j: np.ndarray) -> np.ndarray:
     """p_L = tr(Pi_L J) = sum_M <T_{L,M}|J|T_{L,M}> per irrep L of ``basis``, ascending."""
     v = basis.vectors
     per_op = np.real(np.sum(v.conj() * (v @ j.T), axis=1))
-    sizes = [two_l + 1 for two_l in basis.irrep_labels()]
+    sizes = [two_l + 1 for two_l in basis.labels]
     return np.add.reduceat(per_op, np.cumsum([0] + sizes[:-1]))
 
 
 def _block_state(basis: ItoBasis, weights) -> np.ndarray:
     """sum_L p_L Pi_L / (2L+1): the Jamiolkowski state with block weights p_L."""
     v = basis.vectors
-    sizes = [two_l + 1 for two_l in basis.irrep_labels()]
+    sizes = [two_l + 1 for two_l in basis.labels]
     return (v.T * np.repeat(np.asarray(weights) / sizes, sizes)) @ v.conj()
 
 
 def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarray]:
     """Canonical Kraus family of E^L: rescaled spin-L tensor operators,
     ordered by descending environment quantum number."""
-    if two_l not in coupled_labels(spin_in, spin_out):
-        raise ValueError(f"two_l={two_l} outside the admissible ladder")
-    scale = np.sqrt(spin_in.dim / (two_l + 1))
-    return [scale * t for t in ito_basis(spin_in, spin_out).family(two_l)]
+    family = ito_basis(spin_in, spin_out).family(two_l)
+    return list(np.sqrt(spin_in.dim / (two_l + 1)) * family)
 
 
 def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> QuantumChannel:

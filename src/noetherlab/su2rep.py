@@ -24,6 +24,7 @@ __all__ = [
     "cg",
     "spin_operators",
     "spin_norm",
+    "coupled_labels",
     "ItoBasis",
     "ito_basis",
     "coherent_state",
@@ -165,8 +166,8 @@ def spin_norm(spin: SpinJ) -> float:
 
 
 @lru_cache(maxsize=None)
-def _spin_operators_cached(two_j: int):
-    spin = SpinJ(two_j)
+def spin_operators(spin: SpinJ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only angular momentum matrices (Jx, Jy, Jz) in the descending-m basis."""
     d = spin.dim
     j = spin.j
     m = np.array([tm / 2 for tm in spin.m_values()])
@@ -184,60 +185,57 @@ def _spin_operators_cached(two_j: int):
     return jx, jy, jz
 
 
-def spin_operators(spin: SpinJ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angular momentum matrices (Jx, Jy, Jz) in the descending-m basis."""
-    return _spin_operators_cached(spin.two_j)
+def coupled_labels(spin_in: SpinJ, spin_out: SpinJ) -> list[int]:
+    """two_L labels of the irreps in H_out (x) H_in, ascending: |j_in - j_out| .. j_in + j_out."""
+    return list(range(abs(spin_out.two_j - spin_in.two_j), spin_out.two_j + spin_in.two_j + 2, 2))
 
 
 @dataclass(frozen=True)
 class ItoBasis:
     """Orthonormal irreducible tensor operators between two spin spaces.
 
-    ``ops`` maps (two_l, two_m) to a d_out x d_in matrix.  For equal spins
-    the operators are the standard polarization operators: l runs over
-    0 .. 2j, ``T^0_0 = I / sqrt(d)`` and ``T^1_0`` is proportional to Jz.
-    Row k of ``vectors`` is ``vectorize`` of the k-th operator, irreps
-    ascending and m descending within each; ``ops`` holds views into it.
+    ``labels`` are the irreps two_L (:func:`coupled_labels`).  Row
+    ``offset_L + (L - M)`` of ``vectors`` is ``vectorize`` of T_{L,M}, with
+    ``offset_L`` the number of rows of the irreps below L.  For equal spins
+    the operators are the polarization operators: ``T^0_0 = I / sqrt(d)``
+    and ``T^1_0`` is proportional to Jz.
     """
 
     spin_in: SpinJ
     spin_out: SpinJ
-    ops: dict = field(repr=False)
+    labels: tuple
     vectors: np.ndarray = field(repr=False)
 
-    def irrep_labels(self) -> list[int]:
-        return sorted({tl for tl, _ in self.ops})
-
-    def family(self, two_l: int) -> list[np.ndarray]:
-        """Operators of irrep two_l ordered by descending m."""
-        return [self.ops[(two_l, tm)] for tm in range(two_l, -two_l - 2, -2)]
+    def family(self, two_l: int) -> np.ndarray:
+        """Read-only ``(2L+1, d_out, d_in)`` view of ``vectors``: T_{L,M}, M descending."""
+        if two_l not in self.labels:
+            raise ValueError(f"two_l={two_l} outside the admissible ladder")
+        offset = (two_l * two_l - self.labels[0] ** 2) // 4  # sum of 2L' + 1 over L' < L
+        return self.vectors[offset:offset + two_l + 1].reshape(two_l + 1, self.spin_out.dim, -1)
 
 
 @lru_cache(maxsize=None)
 def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
-    spin_in = SpinJ(two_j_in)
-    spin_out = SpinJ(two_j_out)
-    labels = range(abs(two_j_out - two_j_in), two_j_out + two_j_in + 2, 2)
-    keys = [(two_l, two_m) for two_l in labels for two_m in range(two_l, -two_l - 2, -2)]
-    index = {key: k for k, key in enumerate(keys)}
-    stack = np.zeros((len(keys), spin_out.dim, spin_in.dim), dtype=complex)
+    spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
+    n = spin_out.dim * spin_in.dim
+    basis = ItoBasis(spin_in, spin_out, tuple(coupled_labels(spin_in, spin_out)),
+                     np.zeros((n, n), dtype=complex))
     # Wigner-Eckart with unit reduced element: <j_out m_r| T_{L,M} |j_in m_c> is
     # sqrt((2L+1)/d_out) <j_in m_c; L M | j_out m_r>, nonzero only for M = m_r - m_c.
-    for two_l in labels:
+    for two_l in basis.labels:
+        family = basis.family(two_l)  # writable until the basis is sealed below
         for r, two_mr in enumerate(spin_out.m_values()):
             for c, two_mc in enumerate(spin_in.m_values()):
                 if abs(two_mr - two_mc) <= two_l:
-                    stack[index[(two_l, two_mr - two_mc)], r, c] = cg(
+                    family[(two_l - two_mr + two_mc) // 2, r, c] = cg(
                         two_j_in, two_mc, two_l, two_mr - two_mc, two_j_out, two_mr)
-    # Family sign: the first nonzero entry of each top-m operator is positive;
-    # equal spins keep the polarization operators (T^1_0 along +Jz).
-    scale = [np.sqrt((two_l + 1) / spin_out.dim)
-             * (1 if two_j_in == two_j_out else (-1) ** ((two_j_in + two_l - two_j_out) // 2))
-             for two_l, _ in keys]
-    stack *= np.array(scale)[:, None, None]
-    stack.setflags(write=False)
-    return ItoBasis(spin_in=spin_in, spin_out=spin_out, ops=dict(zip(keys, stack)),
-                    vectors=stack.reshape(len(keys), -1))
+        # Family sign: the first nonzero entry of each top-m operator is positive;
+        # equal spins keep the polarization operators (T^1_0 along +Jz).  Scaling
+        # the whole family gives its zero entries the sign too (-0.0).
+        family *= np.sqrt((two_l + 1) / spin_out.dim) * (
+            1 if two_j_in == two_j_out else (-1) ** ((two_j_in + two_l - two_j_out) // 2))
+    basis.vectors.setflags(write=False)
+    return basis
 
 
 def ito_basis(spin_in: SpinJ, spin_out: SpinJ | None = None) -> ItoBasis:

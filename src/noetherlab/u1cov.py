@@ -110,34 +110,27 @@ def _same_label(spectrum: EnergySpectrum) -> np.ndarray:
     return labels[:, None] == labels[None, :]
 
 
-@dataclass(frozen=True)
-class U1BlockChannel:
-    """Jamiolkowski state of a time-translation covariant channel, on
-    H_out (x) H_in; it vanishes between indices with different
+class U1BlockChannel(QuantumChannel):
+    """A time-translation covariant channel on ``spectrum``, validated on construction.
+    Its read-only Jamiolkowski state vanishes between indices with different
     ``spectrum.bohr_labels()``, so each Bohr frequency is one block.
     """
 
-    spectrum: EnergySpectrum
-    jamiolkowski: np.ndarray
-
-    def __post_init__(self):
-        j = np.array(self.jamiolkowski, dtype=complex)
-        n = self.spectrum.d ** 2
+    def __init__(self, spectrum: EnergySpectrum, jamiolkowski):
+        j = np.array(jamiolkowski, dtype=complex)
+        n = spectrum.d ** 2
         if j.shape != (n, n):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}, got shape {j.shape}")
-        if np.any(j[~_same_label(self.spectrum)]):
+        if np.any(j[~_same_label(spectrum)]):
             raise ValueError("Jamiolkowski state couples pairs with different Bohr frequencies")
         j.flags.writeable = False
-        object.__setattr__(self, "jamiolkowski", j)
+        self.spectrum = spectrum
+        super().__init__(spectrum.d, spectrum.d, jamiolkowski=j)
 
     def population_matrix(self) -> np.ndarray:
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""
         d = self.spectrum.d
         return d * np.real(np.diag(self.jamiolkowski)).reshape(d, d)
-
-    def to_channel(self) -> QuantumChannel:
-        d = self.spectrum.d
-        return QuantumChannel(d, d, jamiolkowski=self.jamiolkowski)
 
 
 def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
@@ -149,6 +142,9 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     dict or an iterable of (bohr, m, radians) triples.  Missing phases are 0;
     a phase for a pair absent from the block basis is an error.
     """
+    bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
+    if bad:  # True, "0.5" or None would be read as a number
+        raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
     gamma = _population(spectrum, gamma)
     if gamma.ndim != 2:
         raise ValueError(f"expected one population matrix, got shape {gamma.shape}")
@@ -156,7 +152,7 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         phases = [(b, m, v) for (b, m), v in phases.items()]
     phase_map = {}
     for entry in () if phases is None else phases:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not _real(entry[2]):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not all(map(_real, entry)):
             raise ValueError(f"phase {entry!r} is not a [bohr, output_index, radians] triple")
         phase_map[tuple(entry[:2])] = float(entry[2])
 

@@ -192,7 +192,7 @@ def test_criterion_09_u1_figure_reproduction():
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     above = sum(float(r["unitarity"]) > float(r["bound_upper"]) + 1e-9 for r in rows)
     deph_err = max(
-        abs(unitarity_jamiolkowski(build_dephasing(EnergySpectrum(levels), 1.0).to_channel())
+        abs(unitarity_jamiolkowski(build_dephasing(EnergySpectrum(levels), 1.0))
             - 1.0 / (len(levels) + 1))
         for levels in ((0, 1), (0, 1, 2), (0, 1, 3, 6))
     )

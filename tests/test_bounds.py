@@ -9,17 +9,24 @@ from noetherlab.bounds import (
     u1_cap,
     upper_bound_general,
 )
-from noetherlab.chan import identity_channel, unitary_channel
+from noetherlab.chan import (
+    QuantumChannel,
+    covariance_residual,
+    identity_channel,
+    random_channel,
+    unitary_channel,
+)
 from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_su2_closed
 from noetherlab.numkit import haar_unitary
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
     covariant_channel,
+    decompose,
     extremal_channel,
     polarization_factor,
 )
-from noetherlab.su2rep import SpinJ
+from noetherlab.su2rep import SpinJ, spin_operators
 from noetherlab.u1cov import EnergySpectrum, build_dephasing, build_extremal, u1_deviation
 
 
@@ -54,6 +61,21 @@ class TestUpperBoundGeneral:
     def test_rejects_non_covariant(self):
         with pytest.raises(ValueError, match="not covariant"):
             upper_bound_general(unitary_channel(haar_unitary(2, 1)), su2_generators(SpinJ(1)))
+
+    def test_same_covariance_threshold_as_decompose(self):
+        # a CPTP channel 1e-8 away from covariance: outside tol_eq = 1e-9 for both
+        s = SpinJ(1)
+        gens = spin_operators(s)
+        cov = covariant_channel(CovariantMixture(s, s, (0.5, 0.5)))
+        other = random_channel(2, 2, 2, seed=3)
+        eps = 1e-8 / covariance_residual(other, gens, gens)
+        near = QuantumChannel(2, 2, jamiolkowski=(1 - eps) * cov.jamiolkowski
+                              + eps * other.jamiolkowski)
+        assert 0.9e-8 < covariance_residual(near, gens, gens) < 1.1e-8
+        with pytest.raises(ValueError, match="not covariant: commutator residual 1.00e-08"):
+            upper_bound_general(near, su2_generators(s))
+        with pytest.raises(ValueError, match="not covariant: commutator residual 1.00e-08"):
+            decompose(near, s, s)
 
     def test_not_applicable_when_output_larger_and_condition_fails(self):
         e = extremal_channel(SpinJ(1), SpinJ(2), 1)

@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 from noetherlab import bounds as bnd
-from noetherlab import metrics, u1cov
+from noetherlab import cli, metrics, u1cov
 from noetherlab.chan import QuantumChannel, max_action_deviation
-from noetherlab.cli import main, simplex_grid, su2_tradeoff_records, u1_tradeoff_records
+from noetherlab.cli import (
+    MAX_SWEEP_CELLS,
+    main,
+    simplex_grid,
+    su2_tradeoff_records,
+    u1_tradeoff_records,
+)
 from noetherlab.numkit import TOL
 from noetherlab.su2cov import CovariantMixture, extremal_channel
 from noetherlab.su2rep import SpinJ
@@ -187,12 +193,62 @@ class TestU1Build:
         '{"levels": ["0", "1"], "gamma": [[1, 0], [0, 1]]}',
         '{"levels": [true, 2], "gamma": [[1, 0], [0, 1]]}',
         '{"levels": [0], "gamma": [[1]]}',
+        '{"levels": [0, 1], "gamma": [[true, false], [false, true]]}',
+        '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[true, true, 0.5]]}',
+        '{"levels": [0, 1], "gamma": [[1, 0], [0, 1]], "phases": [[0, false, 0.5]]}',
+        '{"levels": [0, 1], "gamma": [["1", "0"], ["0", "1"]]}',
     ], ids=["nan_gamma", "absent_pair_phase", "short_phase", "non_integral_level",
-            "string_levels", "bool_level", "one_level"])
+            "string_levels", "bool_level", "one_level", "bool_gamma", "bool_phase_pair",
+            "bool_phase_index", "string_gamma"])
     def test_malformed_spec_exit_2(self, tmp_path, spec):
         spec_file = tmp_path / "in.json"
         spec_file.write_text(spec)
         assert_usage_error(*run_cli("u1", "build", "--json", str(spec_file)))
+
+
+    @pytest.mark.parametrize("key", ["levels", "gamma"])
+    def test_missing_key_names_spec_and_key(self, tmp_path, key):
+        spec = {"levels": [0, 1], "gamma": [[1, 0], [0, 1]]}
+        del spec[key]
+        spec_file = tmp_path / "in.json"
+        spec_file.write_text(json.dumps(spec))
+        code, stdout, err = run_cli("u1", "build", "--json", str(spec_file))
+        assert_usage_error(code, stdout, err)
+        assert err == f"error: spec {spec_file} has no {key!r}\n"
+
+
+class TestSweepSizeCap:
+    @pytest.mark.parametrize("argv", [
+        ["su2", "tradeoff", "--two-j", "1", "--grid", "1e-300"],
+        ["su2", "tradeoff", "--two-j", "200", "--grid", "0.5"],
+        ["su2", "tradeoff", "--two-j", str(10**24), "--grid", "0.5"],
+        ["su2", "tradeoff", "--two-j", str(10**24), "--grid", "1e-300"],
+        ["u1", "tradeoff", "--levels", "0,1", "--grid", "1e-6"],
+        ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.001"],
+    ], ids=["su2_tiny_grid", "su2_wide_simplex", "su2_huge_two_j", "su2_both_huge",
+            "u1_tiny_grid", "u1_just_above"])
+    def test_refused_before_allocation(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep grid was built")
+
+        monkeypatch.setattr(cli, "simplex_grid", refuse)
+        monkeypatch.setattr(cli.np, "meshgrid", refuse)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: sweep exceeds {MAX_SWEEP_CELLS} weight cells; use a coarser --grid\n"
+
+    def test_cap_is_inclusive(self):
+        cli._check_sweep_size(MAX_SWEEP_CELLS // 4, 4)
+        with pytest.raises(ValueError, match="sweep exceeds"):
+            cli._check_sweep_size(MAX_SWEEP_CELLS // 4 + 1, 4)
+
+    @pytest.mark.parametrize("grid", [5e-324, float("nan"), float("inf"), 0.0, -0.5, 2.0])
+    def test_library_rejects_grid_outside_0_1(self, grid):
+        for records in (lambda: su2_tradeoff_records(1, grid),
+                        lambda: u1_tradeoff_records([0, 1], grid)):
+            with pytest.raises(ValueError, match="grid must be 1/n"):
+                records()
 
 
 class TestUnwritableOut:

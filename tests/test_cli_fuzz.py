@@ -1,6 +1,6 @@
 """Hypothesis fuzz of the command line: a malformed grid, level list, sample
-count, spec file or ``--out`` path exits 2 with exactly one ``error:`` line on
-stderr, nothing on stdout and no traceback.
+count, spec file or ``--out`` path, or a sweep over ``MAX_SWEEP_CELLS``, exits 2
+with exactly one ``error:`` line on stderr, nothing on stdout and no traceback.
 
 ``main()`` runs in process.  Every argv passes argparse's own type checks, so
 argparse's two-line usage errors do not arise; values go in ``--flag=value``
@@ -60,6 +60,10 @@ bad_grids = st.one_of(
     st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(math.nan),
     st.floats(min_value=0.05, max_value=1.0).filter(lambda g: not _grid_is_valid(g)))
 
+# grids 1/n far past MAX_SWEEP_CELLS for every sweep (or, in float, not 1/n at all)
+tiny_grids = st.one_of(st.integers(2 * 10**6, 10**300).map(lambda n: 1.0 / n),
+                       st.floats(min_value=5e-324, max_value=5e-7))
+
 bad_level_lists = st.one_of(
     st.lists(st.integers(-3, 3).map(str), max_size=4).map(",".join),
     st.text(max_size=8)).filter(lambda s: not _levels_are_valid(s))
@@ -86,7 +90,11 @@ bad_gammas = st.one_of(
              min_size=2, max_size=2).filter(lambda g: not _stochastic(g)),
     st.lists(st.lists(st.floats(0, 1), max_size=3), max_size=3).filter(
         lambda g: not (len(g) == 2 and all(len(row) == 2 for row in g))),
-    json_scalars, st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+    json_scalars, st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    # JSON true/false are not the numbers 1 and 0
+    st.lists(st.lists(st.one_of(st.booleans(), st.sampled_from([0.0, 1.0])), min_size=2,
+                      max_size=2), min_size=2, max_size=2)
+    .filter(lambda g: any(isinstance(x, bool) for row in g for x in row)))
 
 finite = st.floats(-4, 4)
 bad_phase_entries = st.one_of(
@@ -95,6 +103,9 @@ bad_phase_entries = st.one_of(
     st.sampled_from(sorted(QUBIT_PAIRS)).flatmap(lambda pair: st.one_of(
         st.sampled_from([math.nan, math.inf, -math.inf, None]), st.lists(finite, max_size=2),
         st.dictionaries(st.text(max_size=2), finite, max_size=1)).map(lambda v: [*pair, v])),
+    st.tuples(st.one_of(st.booleans(), st.integers(-1, 1)),
+              st.one_of(st.booleans(), st.integers(0, 1)), finite)
+    .filter(lambda t: isinstance(t[0], bool) or isinstance(t[1], bool)).map(list),
     st.lists(st.integers(-1, 1), max_size=2), st.lists(finite, min_size=4, max_size=5),
     st.integers(), st.text(max_size=4), st.none())
 
@@ -117,15 +128,17 @@ path_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_chara
 
 @FUZZ
 @given(st.one_of(
-    st.tuples(st.integers(1, 3), bad_grids),
-    st.tuples(st.integers(max_value=0), st.sampled_from([0.5, 1.0]))))
+    st.tuples(st.integers(1, 3), st.one_of(bad_grids, tiny_grids)),
+    st.tuples(st.integers(max_value=0), st.sampled_from([0.5, 1.0])),
+    st.tuples(st.integers(2000, 10**30), st.sampled_from([0.5, 1.0])),
+    st.tuples(st.integers(2000, 10**30), tiny_grids)))
 def test_su2_tradeoff_two_j_and_grid(case):
     two_j, grid = case
     assert_usage_error(["su2", "tradeoff", f"--two-j={two_j}", f"--grid={grid!r}"])
 
 
 @FUZZ
-@given(st.one_of(st.tuples(st.just("0,1"), bad_grids),
+@given(st.one_of(st.tuples(st.just("0,1"), st.one_of(bad_grids, tiny_grids)),
                  st.tuples(bad_level_lists, st.just(0.5))))
 def test_u1_tradeoff_levels_and_grid(case):
     levels, grid = case

@@ -63,7 +63,7 @@ class TestDeviationEstimator:
 
     def test_u1_full_flip(self):
         spec = EnergySpectrum((0, 1))
-        ch = build_extremal(spec, np.array([[0.0, 1.0], [1.0, 0.0]])).to_channel()
+        ch = build_extremal(spec, np.array([[0.0, 1.0], [1.0, 0.0]]))
         est = mc_deviation(ch, u1_generators(spec.levels), 100_000, 2)
         assert est.within(1 / 3)
 

@@ -106,7 +106,7 @@ class TestDeviation:
 
     def test_u1_full_flip(self):
         spec = EnergySpectrum((0, 1))
-        ch = build_extremal(spec, np.array([[0.0, 1.0], [1.0, 0.0]])).to_channel()
+        ch = build_extremal(spec, np.array([[0.0, 1.0], [1.0, 0.0]]))
         rep = deviation_avg(ch, u1_generators(spec.levels))
         assert abs(rep.delta_total - 1 / 3) < 1e-12
 

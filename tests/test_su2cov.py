@@ -96,6 +96,17 @@ class TestExtremalChannels:
             oracle = extremal_liouville_oracle(sa, sb, two_l)
             assert np.max(np.abs(built - oracle)) < 1e-12
 
+    @pytest.mark.parametrize("build", [
+        lambda s_in, s_out, two_l: ito_basis(s_in, s_out).family(two_l),
+        irrep_projector,
+        extremal_kraus,
+    ], ids=["ito_basis_family", "irrep_projector", "extremal_kraus"])
+    @pytest.mark.parametrize("two_l", [-1, 0, 2, 5, 7])
+    def test_label_outside_the_ladder(self, build, two_l):
+        # the ladder of j_in = 1/2, j_out = 1 is two_L = 1, 3
+        with pytest.raises(ValueError, match=f"two_l={two_l} outside the admissible ladder"):
+            build(SpinJ(1), SpinJ(2), two_l)
+
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             extremal_channel(SpinJ(1), SpinJ(1), 4)
@@ -331,7 +342,8 @@ class TestScalingCoefficients:
             for two_l_chan in coupled_labels(sa, sb):
                 e = extremal_channel(sa, sb, two_l_chan)
                 for two_l in range(0, 2 * min(a, b) + 2, 2):
-                    got = np.trace(dagger(s_out.ops[(two_l, 0)]) @ e.apply(t_in.ops[(two_l, 0)]))
+                    got = np.trace(dagger(s_out.family(two_l)[two_l // 2])
+                                   @ e.apply(t_in.family(two_l)[two_l // 2]))
                     expect = scaling_coefficient(a, b, two_l_chan, two_l)
                     assert abs(got.real - expect) < 1e-12 and abs(got.imag) < 1e-12
 

@@ -215,20 +215,20 @@ class TestItoBasis:
         for two_j in (1, 2, 4):
             s = SpinJ(two_j)
             b = ito_basis(s)
-            assert np.allclose(b.ops[(0, 0)], np.eye(s.dim) / np.sqrt(s.dim))
+            assert np.allclose(b.family(0)[0], np.eye(s.dim) / np.sqrt(s.dim))
             jx, jy, jz = spin_operators(s)
             scale = np.sqrt(3) / spin_norm(s)
-            assert np.allclose(b.ops[(2, 0)], scale * jz, atol=1e-12)
+            assert np.allclose(b.family(2)[1], scale * jz, atol=1e-12)
             # +-1 components proportional to the ladder combinations
             jp = (jx + 1j * jy) / np.sqrt(2)
-            got = b.ops[(2, 2)]
+            got = b.family(2)[0]
             overlap = np.trace(dagger(got) @ (scale * jp))
             assert np.isclose(abs(overlap), 1.0, atol=1e-12)
 
     def test_qubit_t10_normalization(self):
         b = ito_basis(SpinJ(1))
         jz = spin_operators(SpinJ(1))[2]
-        assert np.allclose(b.ops[(2, 0)], jz / np.sqrt(0.5), atol=1e-12)
+        assert np.allclose(b.family(2)[1], jz / np.sqrt(0.5), atol=1e-12)
 
     def test_rotation_keeps_irrep_support(self):
         s = SpinJ(2)
@@ -239,14 +239,37 @@ class TestItoBasis:
             for two_l in (2, 4):
                 for t in b.family(two_l):
                     rotated = u @ t @ dagger(u)
-                    for (tl2, tm2), other in b.ops.items():
-                        coeff = np.trace(dagger(other) @ rotated)
-                        if tl2 != two_l:
-                            assert abs(coeff) < 1e-10
+                    for tl2 in b.labels:
+                        for other in b.family(tl2):
+                            coeff = np.trace(dagger(other) @ rotated)
+                            if tl2 != two_l:
+                                assert abs(coeff) < 1e-10
+
+    @pytest.mark.parametrize("two_j_in,two_j_out", [(1, 2), (2, 2), (4, 1), (3, 6)])
+    def test_family_is_a_read_only_view_of_vectors(self, two_j_in, two_j_out):
+        s_in, s_out = SpinJ(two_j_in), SpinJ(two_j_out)
+        b = ito_basis(s_in, s_out)
+        # label m_r - m_c of each matrix entry; T_{L,M} lives where it equals M
+        label = np.subtract.outer(s_out.m_values(), s_in.m_values())
+        offset = 0
+        for two_l in b.labels:
+            family = b.family(two_l)
+            assert family.shape == (two_l + 1, s_out.dim, s_in.dim)
+            assert np.shares_memory(family, b.vectors)
+            # irreps ascending, rows of one irrep contiguous
+            assert np.array_equal(family.reshape(two_l + 1, -1),
+                                  b.vectors[offset:offset + two_l + 1])
+            offset += two_l + 1
+            for k, t in enumerate(family):  # M descending
+                assert np.all(t[label != two_l - 2 * k] == 0)
+            assert not family.flags.writeable
+            with pytest.raises(ValueError):
+                family[0, 0, 0] = 1.0
+        assert offset == len(b.vectors)
 
     def test_rectangular_family(self):
         b = ito_basis(SpinJ(1), SpinJ(2))
-        assert b.irrep_labels() == [1, 3]
+        assert b.labels == (1, 3)
         v = b.vectors
         assert v.shape == (6, 6)
         assert np.allclose(v.conj() @ v.T, np.eye(6), atol=1e-12)
@@ -261,7 +284,7 @@ class TestItoBasis:
             g = random_rotation_vector(rng)
             u_in = rotation_unitary(s_in, g)
             u_out = rotation_unitary(s_out, g)
-            for two_l in b.irrep_labels():
+            for two_l in b.labels:
                 family = b.family(two_l)
                 for t in family:
                     rotated = u_out @ t @ dagger(u_in)
@@ -293,7 +316,7 @@ class TestItoBasis:
             if two_j_out == two_j_in:
                 continue
             b = ito_basis(SpinJ(two_j_in), SpinJ(two_j_out))
-            for two_l in b.irrep_labels():
+            for two_l in b.labels:
                 family = b.family(two_l)
                 top = family[0][family[0] != 0]
                 assert top[0].real > 0 and top[0].imag == 0

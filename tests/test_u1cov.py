@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noetherlab.chan import identity_channel, max_action_deviation
+from noetherlab.chan import (
+    ChannelValidationError,
+    QuantumChannel,
+    identity_channel,
+    max_action_deviation,
+)
 from noetherlab.metrics import deviation_avg, u1_generators, unitarity_jamiolkowski
 from noetherlab.u1cov import (
     EnergySpectrum,
@@ -112,7 +117,7 @@ class TestBuildExtremal:
     def test_identity_population(self):
         spec = EnergySpectrum((0, 1))
         ch = build_extremal(spec, np.eye(2))
-        assert max_action_deviation(ch.to_channel(), identity_channel(2)) < 1e-12
+        assert max_action_deviation(ch, identity_channel(2)) < 1e-12
 
     def test_population_readback(self):
         rng = np.random.default_rng(0)
@@ -127,13 +132,25 @@ class TestBuildExtremal:
         with pytest.raises(ValueError):
             build_extremal(spec, np.array([[0.5, 0.2], [0.2, 0.5]]))
 
+    @pytest.mark.parametrize("gamma", [
+        [[True, False], [False, True]],
+        [[1.0, 0.0], [0.0, True]],
+        [["1", "0"], ["0", "1"]],
+        [[1.0, 0.0], [None, 1.0]],
+        [[np.nan, 1.0], [1.0, 0.0]],
+        np.eye(2, dtype=bool),
+    ], ids=["bools", "one_bool", "strings", "none", "nan", "bool_array"])
+    def test_rejects_non_numeric_population(self, gamma):
+        with pytest.raises(ValueError, match="is not a real number"):
+            build_extremal(EnergySpectrum((0, 1)), gamma)
+
     def test_rejects_non_finite_population(self):
         with pytest.raises(ValueError, match="non-finite"):
             assert_stochastic(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("phases", [[(1, 0, 0.3)], [(2, 1, 0.3)], [(1, 1)], [5],
                                         [(1, 1, np.nan)], [(1, 1, np.inf)], [(1, 1, "0.5")],
-                                        [(1, 1, True)]])
+                                        [(1, 1, True)], [(True, True, 0.5)], [(0, False, 0.5)]])
     def test_rejects_malformed_phases(self, phases):
         # on a qubit the only pair with Bohr frequency 1 has output index 1; an
         # angle must be a finite number (numpy would warn on nan and inf)
@@ -198,7 +215,7 @@ class TestBuildExtremal:
         plain = build_extremal(spec, gamma)
         phased = build_extremal(spec, gamma, phases={(0, 1): 1.2})
         assert np.allclose(plain.population_matrix(), phased.population_matrix())
-        assert max_action_deviation(plain.to_channel(), phased.to_channel()) > 1e-3
+        assert max_action_deviation(plain, phased) > 1e-3
 
 
 class TestU1BlockChannel:
@@ -212,6 +229,21 @@ class TestU1BlockChannel:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="must be 4 x 4"):
             U1BlockChannel(EnergySpectrum((0, 1)), np.eye(9) / 9)
+
+    def test_rejects_non_cp_state_at_construction(self):
+        spec = EnergySpectrum((0, 1))
+        j = build_dephasing(spec, 0.0).jamiolkowski.copy()
+        # pairs 0 and 3 share Bohr label 0, so the mask allows the coherence,
+        # but the block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
+        j[0, 3] = j[3, 0] = 0.9
+        with pytest.raises(ChannelValidationError, match="not completely positive"):
+            U1BlockChannel(spec, j)
+
+    def test_is_a_validated_quantum_channel(self):
+        ch = build_extremal(EnergySpectrum((0, 1, 3)), np.eye(3), phases={(0, 1): 0.4})
+        assert isinstance(ch, QuantumChannel)
+        assert (ch.d_in, ch.d_out) == (3, 3)
+        assert ch.cp_min_eig > -1e-12 and ch.tp_residual < 1e-12
 
     def test_state_is_read_only(self):
         ch = build_dephasing(EnergySpectrum((0, 1, 3)), 0.5)
@@ -231,19 +263,19 @@ class TestU1BlockChannel:
 class TestDephasing:
     def test_endpoints(self):
         spec = EnergySpectrum((0, 1))
-        assert max_action_deviation(build_dephasing(spec, 0.0).to_channel(),
+        assert max_action_deviation(build_dephasing(spec, 0.0),
                                     identity_channel(2)) < 1e-12
-        assert abs(unitarity_jamiolkowski(build_dephasing(spec, 1.0).to_channel()) - 1 / 3) < 1e-12
+        assert abs(unitarity_jamiolkowski(build_dephasing(spec, 1.0)) - 1 / 3) < 1e-12
 
     @pytest.mark.parametrize("levels", [(0, 1), (0, 1, 2), (0, 2, 3, 7)])
     def test_full_dephasing_unitarity(self, levels):
         spec = EnergySpectrum(levels)
-        u = unitarity_jamiolkowski(build_dephasing(spec, 1.0).to_channel())
+        u = unitarity_jamiolkowski(build_dephasing(spec, 1.0))
         assert abs(u - 1 / (spec.d + 1)) < 1e-12
 
     def test_monotone_in_strength(self):
         spec = EnergySpectrum((0, 1, 3))
-        us = [unitarity_jamiolkowski(build_dephasing(spec, p).to_channel())
+        us = [unitarity_jamiolkowski(build_dephasing(spec, p))
               for p in np.linspace(0, 1, 11)]
         assert all(a >= b - 1e-12 for a, b in zip(us, us[1:]))
 
@@ -252,7 +284,7 @@ class TestDephasing:
         for p in (0.0, 0.4, 1.0):
             ch = build_dephasing(spec, p)
             assert u1_deviation(spec, ch.population_matrix()) == 0.0
-            rep = deviation_avg(ch.to_channel(), u1_generators(spec.levels))
+            rep = deviation_avg(ch, u1_generators(spec.levels))
             assert rep.delta_total < 1e-20
 
     def test_rejects_out_of_range(self):
@@ -298,7 +330,7 @@ class TestOptimalUnitarity:
             for _ in range(15):
                 pop = random_stochastic(spec.d, rng)
                 closed = optimal_unitarity_for_population(spec, pop)
-                direct = unitarity_jamiolkowski(build_extremal(spec, pop).to_channel())
+                direct = unitarity_jamiolkowski(build_extremal(spec, pop))
                 assert abs(closed - direct) < 1e-10
 
 
@@ -311,7 +343,7 @@ class TestDeviationClosedForm:
                 pop = random_stochastic(spec.d, rng)
                 ch = build_extremal(spec, pop)
                 closed = u1_deviation(spec, pop)
-                direct = deviation_avg(ch.to_channel(), u1_generators(spec.levels)).delta_total
+                direct = deviation_avg(ch, u1_generators(spec.levels)).delta_total
                 assert abs(closed - direct) < 1e-12
 
     def test_qubit_formula(self):

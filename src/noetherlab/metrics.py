@@ -24,6 +24,7 @@ __all__ = [
     "su2_generators",
     "u1_generators",
     "DeviationReport",
+    "unitarity_dim",
     "unitarity_jamiolkowski",
     "unitarity_complementary",
     "su2_closed_forms",
@@ -86,9 +87,16 @@ class DeviationReport:
     square_terms: tuple
 
 
+def unitarity_dim(channel: QuantumChannel) -> int:
+    """The input dimension d_in, which every unitarity route divides by d_in - 1."""
+    if channel.d_in < 2:
+        raise ValueError(f"unitarity needs d_in >= 2, got d_in = {channel.d_in}")
+    return channel.d_in
+
+
 def unitarity_jamiolkowski(channel: QuantumChannel) -> float:
     """Unitarity from the purity of the Jamiolkowski state."""
-    d = channel.d_in
+    d = unitarity_dim(channel)
     gamma_j = purity(channel.jamiolkowski)
     gamma_mix = purity(channel.apply(np.eye(d) / d))
     return d / (d * d - 1) * (d * gamma_j - gamma_mix)
@@ -101,7 +109,7 @@ def unitarity_complementary(channel: QuantumChannel) -> float:
     sum_{o,i} K_e[o, i] conj(K_f[o, i]) / d, so the complementary channel
     itself is never built.
     """
-    d = channel.d_in
+    d = unitarity_dim(channel)
     ks = np.stack(channel.kraus).reshape(channel.kraus_rank, -1)
     gamma_comp = purity(ks @ ks.conj().T / d)
     gamma_out = purity(channel.apply(np.eye(d) / d))

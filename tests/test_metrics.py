@@ -10,6 +10,7 @@ from noetherlab.chan import (
     random_channel,
     unitary_channel,
 )
+from noetherlab.mcoracle import mc_unitarity
 from noetherlab.metrics import (
     DeviationReport,
     GeneratorSet,
@@ -91,6 +92,17 @@ class TestUnitarity:
             closed = unitarity_su2_closed(mix)
             direct = unitarity_jamiolkowski(covariant_channel(mix))
             assert abs(closed - direct) < 1e-10
+
+    @pytest.mark.parametrize("route", [
+        unitarity_jamiolkowski,
+        unitarity_complementary,
+        lambda e: mc_unitarity(e, 1_000, 0),
+    ], ids=["jamiolkowski", "complementary", "monte_carlo"])
+    def test_one_dimensional_input_is_refused(self, route):
+        # d_in = 1 leaves nothing to average: each route divides by d_in - 1
+        e = QuantumChannel(1, 2, kraus=[[[1], [0]]])
+        with pytest.raises(ValueError, match="unitarity needs d_in >= 2"):
+            route(e)
 
 
 class TestDeviation:

@@ -1,8 +1,10 @@
 """Quantum channels in four interconvertible representations.
 
 A channel is validated once (complete positivity and trace preservation,
-checked on its Jamiolkowski state) and is immutable afterwards; conversions
-between Kraus, Liouville, Jamiolkowski and Stinespring forms are cached.
+checked on its Jamiolkowski state J, stored on construction) and is immutable
+afterwards.  Every form is derived from the given one, never from another
+derived form, so no number depends on the order the forms are read; ``apply``
+and ``apply_adjoint`` are one Liouville product each.
 
 The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
 with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``.
@@ -28,6 +30,7 @@ __all__ = [
     "ChannelValidationError",
     "QuantumChannel",
     "covariance_residual",
+    "assert_covariant",
     "identity_channel",
     "unitary_channel",
     "depolarizing_channel",
@@ -45,6 +48,13 @@ def _reshuffle_inv(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
     return j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3).reshape(d_out**2, d_in**2)
 
 
+def _kraus_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> list[np.ndarray]:
+    """Kraus operators sqrt(d_in w) unvec(v) of the eigenpairs (w, v) of J with w > tol_psd."""
+    w, vecs = np.linalg.eigh(j)
+    return [np.sqrt(d_in * wi) * unvectorize(vecs[:, i], d_out, d_in)
+            for i, wi in enumerate(w) if wi > TOL.tol_psd]
+
+
 class QuantumChannel:
     """A CPTP map between a d_in- and a d_out-dimensional system."""
 
@@ -56,39 +66,33 @@ class QuantumChannel:
         self.d_out = int(d_out)
         self._kraus = None
         self._liouville = None
-        self._jamiolkowski = None
-        self._stinespring = None
+        # each given form is converted once, down the chain to J
+        if stinespring is not None:
+            v = np.asarray(stinespring, dtype=complex)
+            if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
+                raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
+            v = v.reshape(self.d_out, -1, self.d_in)
+            kraus = [v[:, e, :].copy() for e in range(v.shape[1])]
         if kraus is not None:
             ks = [np.asarray(k, dtype=complex) for k in kraus]
             if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
                 raise ValueError("Kraus operators must be d_out x d_in")
             self._kraus = ks
-        elif liouville is not None:
+            liouville = sum(np.kron(k, k.conj()) for k in ks)
+        if liouville is not None:
             m = np.asarray(liouville, dtype=complex)
             if m.shape != (self.d_out**2, self.d_in**2):
                 raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
             self._liouville = m
-        elif jamiolkowski is not None:
-            m = np.asarray(jamiolkowski, dtype=complex)
-            n = self.d_out * self.d_in
-            if m.shape != (n, n):
-                raise ValueError(f"Jamiolkowski state must be {n} x {n}")
-            self._jamiolkowski = m
-        else:
-            v = np.asarray(stinespring, dtype=complex)
-            if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
-                raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
-            self._stinespring = v
-        self._validate()
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate(self) -> None:
-        given = next(x for x in (self._kraus, self._liouville, self._jamiolkowski,
-                                 self._stinespring) if x is not None)
-        if not np.all(np.isfinite(given)):
+            jamiolkowski = reshuffle(m, self.d_out, self.d_in) / self.d_in
+        j = np.asarray(jamiolkowski, dtype=complex)
+        n = self.d_out * self.d_in
+        if j.shape != (n, n):
+            raise ValueError(f"Jamiolkowski state must be {n} x {n}")
+        self._jamiolkowski = j
+        # validation: complete positivity and trace preservation, read off J
+        if not np.all(np.isfinite(j)):
             raise ChannelValidationError("channel representation has non-finite entries")
-        j = self.jamiolkowski
         herm = float(np.max(np.abs(j - dagger(j))))
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
@@ -107,43 +111,27 @@ class QuantumChannel:
 
     @property
     def liouville(self) -> np.ndarray:
+        """The given matrix, the Kraus sum of given Kraus operators, or else reshuffled J."""
         if self._liouville is None:
-            # a Kraus form at hand wins over J, so this is the Kraus sum bit for bit
-            if self._kraus is not None or self._stinespring is not None:
-                self._liouville = sum(np.kron(k, k.conj()) for k in self.kraus)
-            else:
-                self._liouville = _reshuffle_inv(self._jamiolkowski, self.d_out, self.d_in) * self.d_in
+            self._liouville = _reshuffle_inv(self._jamiolkowski, self.d_out, self.d_in) * self.d_in
         return self._liouville
 
     @property
     def jamiolkowski(self) -> np.ndarray:
-        if self._jamiolkowski is None:
-            self._jamiolkowski = reshuffle(self.liouville, self.d_out, self.d_in) / self.d_in
         return self._jamiolkowski
 
     @property
     def kraus(self) -> list[np.ndarray]:
+        """The given Kraus operators, or else the eigendecomposition of J."""
         if self._kraus is None:
-            if self._stinespring is not None:
-                d_env = self._stinespring.shape[0] // self.d_out
-                v = self._stinespring.reshape(self.d_out, d_env, self.d_in)
-                self._kraus = [v[:, e, :].copy() for e in range(d_env)]
-            else:
-                w, vecs = np.linalg.eigh(self.jamiolkowski)
-                keep = w > TOL.tol_psd
-                self._kraus = [
-                    np.sqrt(self.d_in * wi) * unvectorize(vecs[:, i], self.d_out, self.d_in)
-                    for i, wi in enumerate(w) if keep[i]
-                ]
+            self._kraus = _kraus_from_jamiolkowski(self._jamiolkowski, self.d_out, self.d_in)
         return self._kraus
 
     @property
     def stinespring(self) -> np.ndarray:
         """Isometry V: H_in -> H_out (x) H_env built by stacking Kraus operators."""
-        if self._stinespring is None:
-            ks = self.kraus
-            self._stinespring = np.stack(ks, axis=1).reshape(self.d_out * len(ks), self.d_in)
-        return self._stinespring
+        ks = self.kraus
+        return np.stack(ks, axis=1).reshape(self.d_out * len(ks), self.d_in)
 
     @property
     def kraus_rank(self) -> int:
@@ -155,8 +143,6 @@ class QuantumChannel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.d_in, self.d_in):
             raise ValueError(f"state must be {self.d_in} x {self.d_in}")
-        if self._kraus is not None:
-            return sum(k @ rho @ dagger(k) for k in self._kraus)
         return unvectorize(self.liouville @ vectorize(rho), self.d_out)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -164,8 +150,6 @@ class QuantumChannel:
         y = np.asarray(y, dtype=complex)
         if y.shape != (self.d_out, self.d_out):
             raise ValueError(f"observable must be {self.d_out} x {self.d_out}")
-        if self._kraus is not None:
-            return sum(dagger(k) @ y @ k for k in self._kraus)
         return unvectorize(dagger(self.liouville) @ vectorize(y), self.d_in)
 
     def compose(self, first: "QuantumChannel") -> "QuantumChannel":
@@ -268,6 +252,13 @@ def covariance_residual(channel: QuantumChannel, gens_in, gens_out) -> float:
         j_gen = g_out.T @ by_col - by_col @ g_in_c
         res = max(res, float(np.max(np.abs(j_gen.reshape(n, n) - gen_j.reshape(n, n)))))
     return res
+
+
+def assert_covariant(channel: QuantumChannel, gens_in, gens_out) -> None:
+    """Raise unless :func:`covariance_residual` is within tol_eq."""
+    res = covariance_residual(channel, gens_in, gens_out)
+    if res > TOL.tol_eq:
+        raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
 
 
 def max_action_deviation(a: QuantumChannel, b: QuantumChannel) -> float:

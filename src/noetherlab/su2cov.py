@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chan import QuantumChannel, covariance_residual
+from .chan import QuantumChannel, assert_covariant
 from .numkit import TOL
-from .su2rep import ItoBasis, SpinJ, cg, coupled_labels, ito_basis, spin_operators
+from .su2rep import ItoBasis, SpinJ, cg, check_ladder, coupled_labels, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
@@ -154,9 +154,7 @@ def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> Covar
     Round-off negatives down to -tol_psd are clipped to 0; a weight below that
     is an error, reported with the mass clipping would have discarded.
     """
-    res = covariance_residual(channel, spin_operators(spin_in), spin_operators(spin_out))
-    if res > TOL.tol_eq:
-        raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
+    assert_covariant(channel, spin_operators(spin_in), spin_operators(spin_out))
     weights = _block_weights(ito_basis(spin_in, spin_out), channel.jamiolkowski).tolist()
     if min(weights) < -TOL.tol_psd:
         clipped = -sum(w for w in weights if w < 0)
@@ -186,8 +184,7 @@ def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: i
     square-rooted rationals.
     """
     tja, tjb = two_j_in, two_j_out
-    if two_l_chan not in coupled_labels(SpinJ(tja), SpinJ(tjb)):
-        raise ValueError("channel label outside the admissible ladder")
+    check_ladder(SpinJ(tja), SpinJ(tjb), two_l_chan)
     if two_l > 2 * min(tja, tjb) or two_l % 2:
         raise ValueError("tensor sector label must be an integer <= 2 min(j_in, j_out)")
     ratio = np.sqrt((tjb + 1) / (tja + 1))
@@ -219,8 +216,7 @@ def scaling_vector(mix: CovariantMixture) -> np.ndarray:
 
 def f1_explicit(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
     """Closed form for the spin-sector coefficient f_1(E^L)."""
-    if two_l not in coupled_labels(spin_in, spin_out):
-        raise ValueError(f"two_l={two_l} outside the admissible ladder")
+    check_ladder(spin_in, spin_out, two_l)
     ja, jb, l = spin_in.j, spin_out.j, two_l / 2
     pref = np.sqrt(jb * (jb + 1) * (2 * ja + 1) / (ja * (ja + 1) * (2 * jb + 1)))
     return float(pref * (ja * (ja + 1) + jb * (jb + 1) - l * (l + 1)) / (2 * jb * (jb + 1)))
@@ -233,8 +229,7 @@ def polarization_factor(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
     ``(j_in(j_in+1) + j_out(j_out+1) - L(L+1)) / (2 j_in (j_in+1))``,
     computed exactly and rounded once at the interface.
     """
-    if two_l not in coupled_labels(spin_in, spin_out):
-        raise ValueError(f"two_l={two_l} outside the admissible ladder")
+    check_ladder(spin_in, spin_out, two_l)
     ta, tb, tl = spin_in.two_j, spin_out.two_j, two_l
     exact = Fraction(ta * (ta + 2) + tb * (tb + 2) - tl * (tl + 2), 2 * ta * (ta + 2))
     return float(exact)

@@ -25,6 +25,7 @@ __all__ = [
     "spin_operators",
     "spin_norm",
     "coupled_labels",
+    "check_ladder",
     "ItoBasis",
     "ito_basis",
     "coherent_state",
@@ -190,6 +191,12 @@ def coupled_labels(spin_in: SpinJ, spin_out: SpinJ) -> list[int]:
     return list(range(abs(spin_out.two_j - spin_in.two_j), spin_out.two_j + spin_in.two_j + 2, 2))
 
 
+def check_ladder(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> None:
+    """Raise unless two_l labels an irrep of H_out (x) H_in (:func:`coupled_labels`)."""
+    if two_l not in coupled_labels(spin_in, spin_out):
+        raise ValueError(f"two_l={two_l} outside the admissible ladder")
+
+
 @dataclass(frozen=True)
 class ItoBasis:
     """Orthonormal irreducible tensor operators between two spin spaces.
@@ -208,13 +215,12 @@ class ItoBasis:
 
     def family(self, two_l: int) -> np.ndarray:
         """Read-only ``(2L+1, d_out, d_in)`` view of ``vectors``: T_{L,M}, M descending."""
-        if two_l not in self.labels:
-            raise ValueError(f"two_l={two_l} outside the admissible ladder")
+        check_ladder(self.spin_in, self.spin_out, two_l)
         offset = (two_l * two_l - self.labels[0] ** 2) // 4  # sum of 2L' + 1 over L' < L
         return self.vectors[offset:offset + two_l + 1].reshape(two_l + 1, self.spin_out.dim, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # at least the 7 spin pairs one perfbench `spin` pass cycles through
 def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
     spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
     n = spin_out.dim * spin_in.dim

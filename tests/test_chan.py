@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from noetherlab.chan import (
     unitary_channel,
 )
 from noetherlab.numkit import assert_density_matrix, dagger, ginibre, haar_unitary, purity
-from noetherlab.su2cov import extremal_channel
+from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
 
 
@@ -66,6 +67,50 @@ class TestRepresentations:
         j_form = QuantumChannel(2, 3, jamiolkowski=e.jamiolkowski)
         for b in basis:
             assert np.max(np.abs(e.apply(b) - j_form.apply(b))) < 1e-10
+
+
+READ_FIRST = {
+    "kraus": lambda e: e.kraus,
+    "stinespring": lambda e: e.stinespring,
+    "complementary": lambda e: e.complementary(),
+}
+
+
+def assert_read_order_free(build, read_first):
+    """Two copies from ``build()`` give identical numbers, although one had a
+    derived form read first."""
+    fresh, touched = build(), build()
+    rng = np.random.default_rng(5)
+    g = ginibre(fresh.d_in, fresh.d_in, rng)
+    rho = g @ dagger(g) / np.trace(g @ dagger(g))
+    y = ginibre(fresh.d_out, fresh.d_out, rng)
+    y = y + dagger(y)
+
+    def observed(e):
+        return e.liouville, e.jamiolkowski, e.apply(rho), e.apply_adjoint(y)
+
+    expected = observed(fresh)
+    READ_FIRST[read_first](touched)
+    for name, a, b in zip(("liouville", "jamiolkowski", "apply", "apply_adjoint"),
+                          expected, observed(touched)):
+        assert np.array_equal(a, b), name
+
+
+class TestReadOrder:
+    @pytest.mark.parametrize("read_first", sorted(READ_FIRST))
+    @pytest.mark.parametrize("form", ["kraus", "liouville", "jamiolkowski", "stinespring"])
+    @pytest.mark.parametrize("d_in,d_out,rank", [(3, 2, 2), (2, 4, 3)])
+    def test_random_channel(self, d_in, d_out, rank, form, read_first):
+        data = getattr(random_channel(d_in, d_out, rank, seed=11), form)
+        assert_read_order_free(
+            lambda: QuantumChannel(d_in, d_out, **{form: copy.deepcopy(data)}), read_first)
+
+    @pytest.mark.parametrize("read_first", sorted(READ_FIRST))
+    def test_near_zero_weight_covariant_channel(self, read_first):
+        # J has eigenvalues at or below tol_psd, which the eigen-Kraus form drops
+        s = SpinJ(4)
+        mix = CovariantMixture(s, s, (0.6, 0.4 - 2e-9, 1e-9, 5e-10, 5e-10))
+        assert_read_order_free(lambda: covariant_channel(mix), read_first)
 
 
 class TestValidation:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from noetherlab import bounds as bnd
-from noetherlab import cli, metrics, u1cov
+from noetherlab import chan, cli, metrics, u1cov
 from noetherlab.chan import QuantumChannel, max_action_deviation
 from noetherlab.cli import (
     MAX_SWEEP_CELLS,
@@ -298,6 +298,15 @@ class TestVerify:
         bad = [c for c in report["checks"] if not c["passed"]]
         assert [c["name"] for c in bad] == ["channel_representation_roundtrip"]
         assert "rejected" in bad[0]["detail"]
+
+    def test_conjugated_kraus_fails_roundtrip(self, monkeypatch):
+        # conjugated eigen-Kraus operators form a different channel (the transpose
+        # of E), so the round trip must see a nonzero action deviation
+        derive = chan._kraus_from_jamiolkowski
+        monkeypatch.setattr(chan, "_kraus_from_jamiolkowski",
+                            lambda *args: [k.conj() for k in derive(*args)])
+        checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
+        assert not checks["channel_representation_roundtrip"]["passed"]
 
     def test_report_bytes_deterministic(self):
         _, a, _ = run_cli("verify", "all", "--seed", "42", "--samples", "1000")

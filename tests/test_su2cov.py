@@ -100,7 +100,11 @@ class TestExtremalChannels:
         lambda s_in, s_out, two_l: ito_basis(s_in, s_out).family(two_l),
         irrep_projector,
         extremal_kraus,
-    ], ids=["ito_basis_family", "irrep_projector", "extremal_kraus"])
+        lambda s_in, s_out, two_l: scaling_coefficient(s_in.two_j, s_out.two_j, two_l, 0),
+        f1_explicit,
+        polarization_factor,
+    ], ids=["ito_basis_family", "irrep_projector", "extremal_kraus", "scaling_coefficient",
+            "f1_explicit", "polarization_factor"])
     @pytest.mark.parametrize("two_l", [-1, 0, 2, 5, 7])
     def test_label_outside_the_ladder(self, build, two_l):
         # the ladder of j_in = 1/2, j_out = 1 is two_L = 1, 3

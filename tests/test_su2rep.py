@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from noetherlab.numkit import dagger
 from noetherlab.su2rep import (
     SignedSqrtRational,
+    _ito_basis_cached,
     SpinJ,
     cg,
     clebsch_gordan,
@@ -202,6 +203,16 @@ class TestSpinOperators:
 
 
 class TestItoBasis:
+    def test_cache_is_bounded(self):
+        maxsize = _ito_basis_cached.cache_info().maxsize
+        # the benchmark's spin workload cycles through 7 spin pairs
+        assert maxsize is not None and maxsize >= 7
+        pairs = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+        assert len(pairs) > maxsize
+        for two_j_in, two_j_out in pairs:
+            ito_basis(SpinJ(two_j_in), SpinJ(two_j_out))
+            assert _ito_basis_cached.cache_info().currsize <= maxsize
+
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_orthonormal_and_complete(self, two_j):
         # row k of vectors is vectorize(T_k), so the Gram matrix tr(T_k^dag T_l)

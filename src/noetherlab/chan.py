@@ -2,9 +2,10 @@
 
 A channel is validated once (complete positivity and trace preservation,
 checked on its Jamiolkowski state J, stored on construction) and is immutable
-afterwards.  Every form is derived from the given one, never from another
-derived form, so no number depends on the order the forms are read; ``apply``
-and ``apply_adjoint`` are one Liouville product each.
+afterwards: each form it stores, given or derived, is a read-only view.  Every
+form is derived from the given one, never from another derived form, so no number
+depends on the order the forms are read; ``apply`` and ``apply_adjoint`` are one
+Liouville product each.
 
 The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
 with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``.
@@ -43,15 +44,23 @@ class ChannelValidationError(ValueError):
     """Raised when a map fails the CP or TP conditions beyond tolerance."""
 
 
-def _reshuffle_inv(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """Inverse of :func:`noetherlab.numkit.reshuffle` for rectangular shapes."""
-    return j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3).reshape(d_out**2, d_in**2)
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a``'s own flags are left alone."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _liouville_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
+    """d_in times the inverse of :func:`noetherlab.numkit.reshuffle`, read-only."""
+    split = j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+    return _sealed(split.reshape(d_out**2, d_in**2) * d_in)
 
 
 def _kraus_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> list[np.ndarray]:
     """Kraus operators sqrt(d_in w) unvec(v) of the eigenpairs (w, v) of J with w > tol_psd."""
     w, vecs = np.linalg.eigh(j)
-    return [np.sqrt(d_in * wi) * unvectorize(vecs[:, i], d_out, d_in)
+    return [_sealed(np.sqrt(d_in * wi) * unvectorize(vecs[:, i], d_out, d_in))
             for i, wi in enumerate(w) if wi > TOL.tol_psd]
 
 
@@ -77,15 +86,15 @@ class QuantumChannel:
             ks = [np.asarray(k, dtype=complex) for k in kraus]
             if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
                 raise ValueError("Kraus operators must be d_out x d_in")
-            self._kraus = ks
+            self._kraus = [_sealed(k) for k in ks]
             liouville = sum(np.kron(k, k.conj()) for k in ks)
         if liouville is not None:
             m = np.asarray(liouville, dtype=complex)
             if m.shape != (self.d_out**2, self.d_in**2):
                 raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
-            self._liouville = m
+            self._liouville = _sealed(m)
             jamiolkowski = reshuffle(m, self.d_out, self.d_in) / self.d_in
-        j = np.asarray(jamiolkowski, dtype=complex)
+        j = _sealed(np.asarray(jamiolkowski, dtype=complex))
         n = self.d_out * self.d_in
         if j.shape != (n, n):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}")
@@ -113,7 +122,7 @@ class QuantumChannel:
     def liouville(self) -> np.ndarray:
         """The given matrix, the Kraus sum of given Kraus operators, or else reshuffled J."""
         if self._liouville is None:
-            self._liouville = _reshuffle_inv(self._jamiolkowski, self.d_out, self.d_in) * self.d_in
+            self._liouville = _liouville_from_jamiolkowski(self.jamiolkowski, self.d_out, self.d_in)
         return self._liouville
 
     @property

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,55 +26,18 @@ from .chan import ChannelValidationError, QuantumChannel, max_action_deviation, 
 from .numkit import TOL, haar_pure, parallel_map
 from .su2rep import SpinJ
 
-__all__ = ["MAX_SWEEP_CELLS", "TradeoffRecord", "TradeoffSweep", "main", "simplex_grid",
-           "su2_tradeoff_records", "u1_tradeoff_records"]
+__all__ = ["MAX_SWEEP_CELLS", "TradeoffSweep", "main", "simplex_grid", "su2_tradeoff_records",
+           "u1_tradeoff_records"]
 
 _CSV_TAIL = ["delta", "sqrt_delta", "unitarity", "one_minus_u", "bound_lower", "bound_upper", "ok"]
-
-
-@dataclass(frozen=True)
-class TradeoffRecord:
-    """One sweep point: parameters plus measured and bound values."""
-
-    params: dict
-    delta: float
-    unitarity: float
-    bound_lower: float
-    bound_upper: float
-    ok: bool
-
-    @property
-    def sqrt_delta(self) -> float:
-        return math.sqrt(self.delta)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "delta": self.delta,
-            "sqrt_delta": self.sqrt_delta,
-            "unitarity": self.unitarity,
-            "one_minus_u": 1.0 - self.unitarity,
-            "bound_lower": self.bound_lower,
-            "bound_upper": self.bound_upper,
-            "ok": self.ok,
-        }
-
-    def csv_row(self) -> list:
-        """Parameter values, then the ``_CSV_TAIL`` columns in order."""
-        return [*self.params.values(), self.delta, self.sqrt_delta, self.unitarity,
-                1.0 - self.unitarity, self.bound_lower, self.bound_upper, self.ok]
 
 
 def simplex_grid(n_parts: int, n_steps: int):
     """All probability vectors with n_parts entries on a 1/n_steps grid,
     in a fixed lexicographic order."""
     for bars in combinations(range(n_steps + n_parts - 1), n_parts - 1):
-        prev = -1
-        counts = []
-        for b in (*bars, n_steps + n_parts - 1):
-            counts.append(b - prev - 1)
-            prev = b
-        yield tuple(c / n_steps for c in counts)
+        edges = (-1, *bars, n_steps + n_parts - 1)
+        yield tuple((b - a - 1) / n_steps for a, b in zip(edges, edges[1:]))
 
 
 def _grid_steps(grid: float) -> int:
@@ -96,13 +59,34 @@ def _check_sweep_size(rows: int, columns: int) -> None:
         raise ValueError(f"sweep exceeds {MAX_SWEEP_CELLS} weight cells; use a coarser --grid")
 
 
-class TradeoffSweep(list):
-    """The records of one sweep in grid order, plus each bound's slack
-    ``rhs - lhs`` per record (``slack[bound name]``, an array)."""
+@dataclass(frozen=True, eq=False)
+class TradeoffSweep:
+    """One sweep in grid order, held as columns: ``params`` maps each parameter
+    name to its column, in CSV order; each bound's slack ``rhs - lhs`` per
+    point is ``slack[bound name]``."""
 
-    def __init__(self, records, slack: dict):
-        super().__init__(records)
-        self.slack = slack
+    params: dict
+    delta: np.ndarray
+    unitarity: np.ndarray
+    bound_lower: np.ndarray
+    bound_upper: np.ndarray
+    ok: np.ndarray
+    slack: dict
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def rows(self):
+        """The CSV rows: parameter values, then the ``_CSV_TAIL`` columns in order."""
+        columns = (*self.params.values(), self.delta, np.sqrt(self.delta), self.unitarity,
+                   1.0 - self.unitarity, self.bound_lower, self.bound_upper, self.ok)
+        return zip(*(c.tolist() for c in columns))
+
+    def records(self) -> list[dict]:
+        """The JSON records of ``docs/tradeoff_record.schema.json``, one per point."""
+        k = len(self.params)
+        return [{"params": dict(zip(self.params, row[:k])), **dict(zip(_CSV_TAIL, row[k:]))}
+                for row in self.rows()]
 
     def near_miss_lines(self) -> list[str]:
         """Per bound: the smallest slack, the params where it occurs, and how
@@ -110,7 +94,7 @@ class TradeoffSweep(list):
         lines = []
         for name, slack in self.slack.items():
             i = int(np.argmin(slack))
-            where = " ".join(f"{k}={v}" for k, v in self[i].params.items())
+            where = " ".join(f"{k}={col[i].item()}" for k, col in self.params.items())
             lines.append(f"# {name}: min slack {slack[i]:.3e} at {where}; "
                          f"{int(np.count_nonzero(slack < TOL.tol_eq))} of {len(slack)} points "
                          f"with slack < {TOL.tol_eq:g}")
@@ -137,16 +121,12 @@ def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     ok, slack = _ok_and_slack(sides)
     (_, bound_lower, _), (_, _, bound_upper) = sides
 
-    def one(row) -> TradeoffRecord:
-        w, *values = row
-        mix = su2cov.CovariantMixture(spin, spin, w)
-        params = {"two_j": two_j}
-        params.update({f"p_{i}": p for i, p in enumerate(mix.weights)})
-        return TradeoffRecord(params, *values)
-
-    rows = zip(weights, delta.tolist(), u.tolist(), bound_lower.tolist(), bound_upper.tolist(),
-               ok.tolist())
-    return TradeoffSweep(parallel_map(one, rows), slack)
+    # one CovariantMixture per row, which perfbench's tracer pins; it re-checks each row
+    mixed = np.array(parallel_map(lambda w: su2cov.CovariantMixture(spin, spin, w).weights,
+                                  weights))
+    params = {"two_j": np.broadcast_to(two_j, len(ok)),
+              **{f"p_{i}": p for i, p in enumerate(mixed.T)}}
+    return TradeoffSweep(params, delta, u, bound_lower, bound_upper, ok, slack)
 
 
 def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
@@ -164,26 +144,18 @@ def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
     ok, slack = _ok_and_slack((cap,))
     _, _, bound_upper = cap
     label = ";".join(str(x) for x in spec.levels)
-    # product() walks the grid in the meshgrid's order; the records share
-    # one float object per grid value instead of holding two per row
-    grid_values = values.tolist()
-    rows = zip(product(grid_values, grid_values), delta.tolist(), u.tolist(),
-               bound_upper.tolist(), ok.tolist())
-    return TradeoffSweep([
-        TradeoffRecord({"levels": label, "p00": a, "p11": b}, dl, uu, 0.0, rhs, good)
-        for (a, b), dl, uu, rhs, good in rows
-    ], slack)
+    params = {"levels": np.broadcast_to(label, len(ok)), "p00": p00, "p11": p11}
+    return TradeoffSweep(params, delta, u, np.zeros(len(ok)), bound_upper, ok, slack)
 
 
-def _write_records(records: list[TradeoffRecord], fmt: str, out_path: str | None) -> None:
+def _write_records(sweep: TradeoffSweep, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        text = json.dumps([r.as_dict() for r in records], indent=1, sort_keys=True) + "\n"
+        text = json.dumps(sweep.records(), indent=1, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(list(records[0].params.keys()) + _CSV_TAIL)
-        for r in records:
-            writer.writerow(r.csv_row())
+        writer.writerow([*sweep.params, *_CSV_TAIL])
+        writer.writerows(sweep.rows())
         text = buf.getvalue()
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -218,12 +190,12 @@ def _check_roundtrip(rng: np.random.Generator, inject_corrupt: bool) -> dict:
         except ChannelValidationError as err:
             failure = f"fixture rejected: {err}"
             break
-        for other in (
-            QuantumChannel(e.d_in, e.d_out, kraus=e.kraus),
-            QuantumChannel(e.d_in, e.d_out, liouville=e.liouville),
-            QuantumChannel(e.d_in, e.d_out, stinespring=e.stinespring),
-        ):
+        for form in ("kraus", "stinespring"):
+            other = QuantumChannel(e.d_in, e.d_out, **{form: getattr(e, form)})
             worst = max(worst, max_action_deviation(e, other))
+        # e's Liouville matrix is derived from J: reshuffled back, it must give J
+        via_liouville = QuantumChannel(e.d_in, e.d_out, liouville=e.liouville)
+        worst = max(worst, float(np.max(np.abs(via_liouville.jamiolkowski - e.jamiolkowski))))
     passed = failure is None and worst < 1e-9
     return {"name": "channel_representation_roundtrip", "passed": passed,
             "detail": failure or f"max action deviation {worst:.3e}"}
@@ -331,8 +303,13 @@ def run_verification(seed: int, samples: int, inject_corrupt: bool = False) -> d
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own usage errors: one line, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="noetherlab")
+    parser = _Parser(prog="noetherlab")
     sub = parser.add_subparsers(dest="group", required=True)
 
     su2 = sub.add_parser("su2", help="rotation-covariant channels")
@@ -394,14 +371,14 @@ def _run_sweep(args, title: str, build, need: str = "", flags_ok: bool = True) -
         print(f"error: need {need}0 < --grid <= 1", file=sys.stderr)
         return 2
     try:
-        records = build()
+        sweep = build()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _write_records(records, args.format, args.out)
-    n_bad = sum(not r.ok for r in records)
-    print(f"# {title}: {len(records)} records, {n_bad} bound violations", file=sys.stderr)
-    print("\n".join(records.near_miss_lines()), file=sys.stderr)
+    _write_records(sweep, args.format, args.out)
+    n_bad = int(np.count_nonzero(~sweep.ok))
+    print(f"# {title}: {len(sweep)} records, {n_bad} bound violations", file=sys.stderr)
+    print("\n".join(sweep.near_miss_lines()), file=sys.stderr)
     return 0 if n_bad == 0 else 1
 
 

@@ -123,7 +123,6 @@ class U1BlockChannel(QuantumChannel):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}, got shape {j.shape}")
         if np.any(j[~_same_label(spectrum)]):
             raise ValueError("Jamiolkowski state couples pairs with different Bohr frequencies")
-        j.flags.writeable = False
         self.spectrum = spectrum
         super().__init__(spectrum.d, spectrum.d, jamiolkowski=j)
 

@@ -69,6 +69,28 @@ class TestRepresentations:
             assert np.max(np.abs(e.apply(b) - j_form.apply(b))) < 1e-10
 
 
+class TestStoredFormsReadOnly:
+    def test_writes_raise(self):
+        with pytest.raises(ValueError):
+            depolarizing_channel(2).jamiolkowski[0, 0] = 5.0
+        e = random_channel(3, 2, 2, 5)
+        with pytest.raises(ValueError):
+            e.kraus[0][0, 0] += 1
+
+    @pytest.mark.parametrize("form", ["kraus", "liouville", "jamiolkowski", "stinespring"])
+    def test_given_and_derived_forms_read_only(self, form):
+        given = getattr(random_channel(3, 2, 2, 5), form)
+        e = QuantumChannel(3, 2, **{form: given})
+        for stored in (e.jamiolkowski, e.liouville, *e.kraus):
+            assert not stored.flags.writeable
+
+    def test_caller_array_keeps_its_flags(self):
+        j = np.eye(4, dtype=complex) / 4
+        e = QuantumChannel(2, 2, jamiolkowski=j)
+        assert np.shares_memory(e.jamiolkowski, j)
+        assert j.flags.writeable
+
+
 READ_FIRST = {
     "kraus": lambda e: e.kraus,
     "stinespring": lambda e: e.stinespring,

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line surface (exit codes, formats)."""
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +57,16 @@ class TestSimplexGrid:
 
 class TestSu2Tradeoff:
     def test_qubit_curve_satisfies_identity(self):
-        records = su2_tradeoff_records(1, 0.01)
+        records = su2_tradeoff_records(1, 0.01).records()
         for r in records:
-            sd = r.sqrt_delta
-            assert abs(r.unitarity - (1 - 4 * sd * (1 - sd))) < 1e-10
-            assert r.ok
+            sd = r["sqrt_delta"]
+            assert abs(r["unitarity"] - (1 - 4 * sd * (1 - sd))) < 1e-10
+            assert r["ok"]
 
     def test_spin1_cloud_within_lines(self):
-        records = su2_tradeoff_records(2, 0.05)
-        assert len(records) == 231  # compositions of 20 into 3 parts
-        assert all(r.ok for r in records)
+        sweep = su2_tradeoff_records(2, 0.05)
+        assert len(sweep) == 231  # compositions of 20 into 3 parts
+        assert all(sweep.ok)
 
     def test_cli_csv_output(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -85,8 +87,8 @@ class TestSu2Tradeoff:
         jsonschema.validate(json.loads(out.read_text()), SCHEMA)
 
     def test_bad_flags_exit_2(self):
-        code, _, _ = run_cli("su2", "tradeoff", "--two-j", "1")
-        assert code == 2
+        # argparse's own error (no --grid) is one line too
+        assert_usage_error(*run_cli("su2", "tradeoff", "--two-j", "1"))
         code, _, _ = run_cli("su2", "tradeoff", "--two-j", "0", "--grid", "0.5")
         assert code == 2
 
@@ -125,25 +127,28 @@ class TestSu2ChannelExport:
 
 class TestU1Tradeoff:
     def test_grid_one_gives_corners(self):
-        records = u1_tradeoff_records([0, 1], 1.0)
+        records = u1_tradeoff_records([0, 1], 1.0).records()
         assert len(records) == 4
-        corners = {(r.params["p00"], r.params["p11"]) for r in records}
+        corners = {(r["params"]["p00"], r["params"]["p11"]) for r in records}
         assert corners == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
     def test_no_record_above_the_bound(self):
-        for r in u1_tradeoff_records([0, 1], 0.02):
-            assert r.unitarity <= r.bound_upper + 1e-9
-            assert r.ok
+        for r in u1_tradeoff_records([0, 1], 0.02).records():
+            assert r["unitarity"] <= r["bound_upper"] + 1e-9
+            assert r["ok"]
 
     def test_width_rescaling(self):
-        narrow = {(r.params["p00"], r.params["p11"]): r for r in u1_tradeoff_records([0, 1], 0.5)}
-        wide = {(r.params["p00"], r.params["p11"]): r for r in u1_tradeoff_records([0, 2], 0.5)}
+        def by_populations(levels):
+            return {(r["params"]["p00"], r["params"]["p11"]): r
+                    for r in u1_tradeoff_records(levels, 0.5).records()}
+
+        narrow, wide = by_populations([0, 1]), by_populations([0, 2])
         for key, n in narrow.items():
             w = wide[key]
             # same populations: deviation grows by width^2, the bound column
             # keeps the same value because sqrt(delta)/width is invariant
-            assert abs(w.delta - 4 * n.delta) < 1e-12
-            assert abs(w.bound_upper - n.bound_upper) < 1e-12
+            assert abs(w["delta"] - 4 * n["delta"]) < 1e-12
+            assert abs(w["bound_upper"] - n["bound_upper"]) < 1e-12
 
     def test_nonincreasing_levels_exit_2(self):
         code, _, _ = run_cli("u1", "tradeoff", "--levels", "1,0", "--grid", "0.5")
@@ -308,6 +313,14 @@ class TestVerify:
         checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
         assert not checks["channel_representation_roundtrip"]["passed"]
 
+    def test_transposing_reshuffle_fails_roundtrip(self, monkeypatch):
+        # this index order turns a Liouville matrix into J^T instead of J: a
+        # valid channel, but not E, so the Liouville leg must see a deviation
+        monkeypatch.setattr(chan, "reshuffle", lambda m, d_b, d_a: np.asarray(m).reshape(
+            d_b, d_b, d_a, d_a).transpose(1, 3, 0, 2).reshape(d_b * d_a, d_b * d_a))
+        checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
+        assert not checks["channel_representation_roundtrip"]["passed"]
+
     def test_report_bytes_deterministic(self):
         _, a, _ = run_cli("verify", "all", "--seed", "42", "--samples", "1000")
         _, b, _ = run_cli("verify", "all", "--seed", "42", "--samples", "1000")
@@ -320,6 +333,11 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["kappa_minus"] + 1 / 3) < 1e-12
 
+    def test_unknown_subcommand_exit_2(self):
+        code, out, err = run_cli("su3", "tradeoff")
+        assert_usage_error(code, out, err)
+        assert "invalid choice: 'su3'" in err
+
 
 class TestExecutionOrder:
     def test_rows_independent_of_execution_order(self, monkeypatch):
@@ -329,19 +347,19 @@ class TestExecutionOrder:
             # evaluate the rows one by one from the last grid point back
             return [fn(x) for x in reversed(list(items))][::-1]
 
-        reference = [r.as_dict() for r in su2_tradeoff_records(2, 0.2)]
+        reference = su2_tradeoff_records(2, 0.2).records()
         monkeypatch.setattr(cli, "parallel_map", reverse_map)
-        assert [r.as_dict() for r in su2_tradeoff_records(2, 0.2)] == reference
+        assert su2_tradeoff_records(2, 0.2).records() == reference
 
     def test_rows_independent_of_grid_order(self, monkeypatch):
         # the array pass must treat each grid point on its own: fed the grid
         # backwards, it gives the same rows backwards
         from noetherlab import cli
 
-        reference = [r.as_dict() for r in su2_tradeoff_records(3, 0.2)]
+        reference = su2_tradeoff_records(3, 0.2).records()
         forward = cli.simplex_grid
         monkeypatch.setattr(cli, "simplex_grid", lambda n, steps: reversed(list(forward(n, steps))))
-        assert [r.as_dict() for r in su2_tradeoff_records(3, 0.2)] == reference[::-1]
+        assert su2_tradeoff_records(3, 0.2).records() == reference[::-1]
 
 
 def su2_rows_one_by_one(two_j, grid):
@@ -380,23 +398,42 @@ class TestSweepsMatchScalarRows:
         (u1_tradeoff_records, u1_rows_one_by_one, [0, 2], 0.05),
     ], ids=["su2_1", "su2_2", "su2_3", "su2_4", "u1_01", "u1_02"])
     def test_same_rows_in_the_same_order(self, sweep, reference, arg, grid):
-        records = sweep(arg, grid)
+        records = sweep(arg, grid).records()
         expected = reference(arg, grid)
         assert len(records) == len(expected)
         for r, (params, delta, u, lower, upper, ok) in zip(records, expected):
-            assert r.params == params
-            assert r.ok is ok
-            got = np.array([r.delta, r.unitarity, r.bound_lower, r.bound_upper])
+            assert r["params"] == params
+            assert r["ok"] is ok
+            got = np.array([r["delta"], r["unitarity"], r["bound_lower"], r["bound_upper"]])
             assert np.max(np.abs(got - [delta, u, lower, upper])) <= 1e-12
+
+
+class TestColumnarSweep:
+    @pytest.mark.parametrize("build, arg, grid", [
+        (su2_tradeoff_records, 4, 0.05),
+        (u1_tradeoff_records, [0, 1], 0.01),
+    ], ids=["su2", "u1"])
+    def test_at_most_100_bytes_held_per_row(self, build, arg, grid):
+        build(arg, grid)  # fill the caches of the spin and spectrum helpers first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep = build(arg, grid)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(sweep) <= 100
 
 
 class TestNearMissReport:
     @pytest.mark.parametrize("argv, fn, arg, sides", [
         (["su2", "tradeoff", "--two-j", "2", "--grid", "0.1"], su2_tradeoff_records, 2,
-         {"su2_sqrt_deviation_lower": lambda r: r.sqrt_delta - r.bound_lower,
-          "su2_sqrt_deviation_upper": lambda r: r.bound_upper - r.sqrt_delta}),
+         {"su2_sqrt_deviation_lower": lambda r: r["sqrt_delta"] - r["bound_lower"],
+          "su2_sqrt_deviation_upper": lambda r: r["bound_upper"] - r["sqrt_delta"]}),
         (["u1", "tradeoff", "--levels", "0,2", "--grid", "0.1"], u1_tradeoff_records, [0, 2],
-         {"u1_unitarity_upper": lambda r: r.bound_upper - r.unitarity}),
+         {"u1_unitarity_upper": lambda r: r["bound_upper"] - r["unitarity"]}),
     ], ids=["su2", "u1"])
     def test_one_stderr_line_per_bound(self, tmp_path, argv, fn, arg, sides):
         out = tmp_path / "rows.csv"
@@ -405,11 +442,11 @@ class TestNearMissReport:
         summary, *lines = err.splitlines()
         assert "0 bound violations" in summary
         assert len(lines) == len(sides)
-        records = fn(arg, 0.1)
+        records = fn(arg, 0.1).records()
         for line, (name, slack_of) in zip(lines, sides.items()):
             slacks = np.array([slack_of(r) for r in records])
             i = int(np.argmin(slacks))
-            where = " ".join(f"{k}={v}" for k, v in records[i].params.items())
+            where = " ".join(f"{k}={v}" for k, v in records[i]["params"].items())
             n_close = int(np.sum(slacks < TOL.tol_eq))
             assert line == (f"# {name}: min slack {slacks[i]:.3e} at {where}; "
                             f"{n_close} of {len(records)} points with slack < {TOL.tol_eq:g}")

@@ -3,8 +3,9 @@ count, spec file or ``--out`` path, or a sweep over ``MAX_SWEEP_CELLS``, exits 2
 with exactly one ``error:`` line on stderr, nothing on stdout and no traceback.
 
 ``main()`` runs in process.  Every argv passes argparse's own type checks, so
-argparse's two-line usage errors do not arise; values go in ``--flag=value``
-form so a leading ``-`` is never read as an option.  Warnings are raised as
+argparse's usage errors, one ``error:`` line that ends the run with
+``SystemExit(2)`` instead of a return value, do not arise; values go in
+``--flag=value`` form so a leading ``-`` is never read as an option.  Warnings are raised as
 errors, because in a real run each one would add stderr lines.
 """
 

@@ -30,39 +30,43 @@ from .u1cov import U1BlockChannel, u1_deviation, u1_structure_stats  # noqa: F40
 
 __all__ = [
     "BoundCheck",
-    "holds",
     "upper_bound_general",
     "lower_bound_multiplicity_free",
-    "su2_bound_sides",
+    "su2_bound_checks",
     "su2_bounds",
-    "u1_cap_sides",
     "u1_cap",
     "u1_bound",
     "diamond_bound_given_value",
 ]
 
 
-def holds(lhs, rhs):
-    """The acceptance rule of every bound, lhs <= rhs + tol_eq; elementwise on arrays."""
-    return lhs <= rhs + TOL.tol_eq
-
-
 @dataclass(frozen=True)
 class BoundCheck:
-    """One evaluated inequality lhs <= rhs (within tol_eq)."""
+    """One evaluated inequality lhs <= rhs (within tol_eq), at a point or
+    elementwise over arrays of one shape: ``satisfied`` and ``slack`` are then
+    arrays too."""
 
     name: str
-    lhs: float
-    rhs: float
-    satisfied: bool
-    slack: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
     applicable: bool = True
 
     @classmethod
-    def of(cls, name: str, lhs: float, rhs: float, applicable: bool = True) -> "BoundCheck":
-        return cls(name=name, lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(holds(lhs, rhs)), slack=float(rhs - lhs),
-                   applicable=applicable)
+    def of(cls, name: str, lhs, rhs, applicable: bool = True) -> "BoundCheck":
+        """The check of ``lhs <= rhs``; 0-d sides become floats, so a point's
+        ``satisfied`` is a bool."""
+        lhs, rhs = (float(x) if np.ndim(x) == 0 else x for x in (lhs, rhs))
+        return cls(name=name, lhs=lhs, rhs=rhs, applicable=applicable)
+
+    @property
+    def satisfied(self):
+        """lhs <= rhs + tol_eq, the acceptance rule of every bound."""
+        return self.lhs <= self.rhs + TOL.tol_eq
+
+    @property
+    def slack(self):
+        """The margin rhs - lhs; negative where the bound fails."""
+        return self.rhs - self.lhs
 
 
 def _trace_norm(h: np.ndarray) -> float:
@@ -113,8 +117,8 @@ def lower_bound_multiplicity_free(channel: QuantumChannel, gens: GeneratorSet,
     return BoundCheck.of("sqrt_deviation_lower_multiplicity_free", lhs, rhs)
 
 
-def su2_bound_sides(j: float, u, delta) -> tuple[tuple, tuple]:
-    """``(name, lhs, rhs)`` of both spin-j bounds on sqrt(Deviation) in terms of 1 - u:
+def su2_bound_checks(j: float, u, delta) -> tuple[BoundCheck, BoundCheck]:
+    """Both spin-j bounds on sqrt(Deviation) in terms of 1 - u:
 
     sqrt(2) j^(1/2) / (2j+1)^2 (1 - u) <= sqrt(Dev) <= 3 sqrt(2) j^(3/2) / (2j+1) (1 - u).
 
@@ -123,8 +127,8 @@ def su2_bound_sides(j: float, u, delta) -> tuple[tuple, tuple]:
     sqrt_delta = np.sqrt(delta)
     lower = np.sqrt(2.0) * j**0.5 / (2 * j + 1) ** 2 * (1 - u)
     upper = 3 * np.sqrt(2.0) * j**1.5 / (2 * j + 1) * (1 - u)
-    return (("su2_sqrt_deviation_lower", lower, sqrt_delta),
-            ("su2_sqrt_deviation_upper", sqrt_delta, upper))
+    return (BoundCheck.of("su2_sqrt_deviation_lower", lower, sqrt_delta),
+            BoundCheck.of("su2_sqrt_deviation_upper", sqrt_delta, upper))
 
 
 def su2_bounds(mix: CovariantMixture) -> tuple[BoundCheck, BoundCheck]:
@@ -132,24 +136,17 @@ def su2_bounds(mix: CovariantMixture) -> tuple[BoundCheck, BoundCheck]:
     1 - u, evaluated with the exact closed forms (equal spins only)."""
     if mix.spin_in != mix.spin_out:
         raise ValueError("trade-off bounds require equal input and output spins")
-    sides = su2_bound_sides(mix.spin_in.j, unitarity_su2_closed(mix), deviation_su2_closed(mix))
-    return tuple(BoundCheck.of(*side) for side in sides)
+    return su2_bound_checks(mix.spin_in.j, unitarity_su2_closed(mix), deviation_su2_closed(mix))
 
 
-def u1_cap_sides(d: int, g: int, width: int, delta, u) -> tuple:
-    """``(name, lhs, rhs)`` of the energy-conservation cap for a d-level
-    spectrum with pair degeneracy g:
+def u1_cap(d: int, g: int, width: int, delta, u) -> BoundCheck:
+    """The energy-conservation cap for a d-level spectrum with pair degeneracy g:
     u <= 1 - g(d-g)/(d-1) sqrt(2/(d(d+1))) sqrt(Dev)/width.
 
     ``delta`` and ``u`` may be scalars or arrays of one shape.
     """
     coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
-    return "u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta)
-
-
-def u1_cap(d: int, g: int, width: int, delta: float, u: float) -> BoundCheck:
-    """The energy-conservation cap of :func:`u1_cap_sides` as one check."""
-    return BoundCheck.of(*u1_cap_sides(d, g, width, delta, u))
+    return BoundCheck.of("u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta))
 
 
 def u1_bound(ch: U1BlockChannel) -> BoundCheck:

@@ -2,7 +2,7 @@
 
 A channel is validated once (complete positivity and trace preservation,
 checked on its Jamiolkowski state J, stored on construction) and is immutable
-afterwards: each form it stores, given or derived, is a read-only view.  Every
+afterwards: it copies the given form, and each form it stores is read-only.  Every
 form is derived from the given one, never from another derived form, so no number
 depends on the order the forms are read; ``apply`` and ``apply_adjoint`` are one
 Liouville product each.
@@ -75,26 +75,27 @@ class QuantumChannel:
         self.d_out = int(d_out)
         self._kraus = None
         self._liouville = None
-        # each given form is converted once, down the chain to J
+        # the given form is copied once (a derived one is not), then converted down to J
+        copy = True
         if stinespring is not None:
             v = np.asarray(stinespring, dtype=complex)
             if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
                 raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
             v = v.reshape(self.d_out, -1, self.d_in)
-            kraus = [v[:, e, :].copy() for e in range(v.shape[1])]
+            kraus = [v[:, e, :] for e in range(v.shape[1])]
         if kraus is not None:
-            ks = [np.asarray(k, dtype=complex) for k in kraus]
+            ks = [np.array(k, dtype=complex) for k in kraus]
             if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
                 raise ValueError("Kraus operators must be d_out x d_in")
             self._kraus = [_sealed(k) for k in ks]
-            liouville = sum(np.kron(k, k.conj()) for k in ks)
+            liouville, copy = sum(np.kron(k, k.conj()) for k in ks), None
         if liouville is not None:
-            m = np.asarray(liouville, dtype=complex)
+            m = np.array(liouville, dtype=complex, copy=copy)
             if m.shape != (self.d_out**2, self.d_in**2):
                 raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
             self._liouville = _sealed(m)
-            jamiolkowski = reshuffle(m, self.d_out, self.d_in) / self.d_in
-        j = _sealed(np.asarray(jamiolkowski, dtype=complex))
+            jamiolkowski, copy = reshuffle(m, self.d_out, self.d_in) / self.d_in, None
+        j = _sealed(np.array(jamiolkowski, dtype=complex, copy=copy))
         n = self.d_out * self.d_in
         if j.shape != (n, n):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}")

@@ -62,19 +62,23 @@ def _check_sweep_size(rows: int, columns: int) -> None:
 @dataclass(frozen=True, eq=False)
 class TradeoffSweep:
     """One sweep in grid order, held as columns: ``params`` maps each parameter
-    name to its column, in CSV order; each bound's slack ``rhs - lhs`` per
-    point is ``slack[bound name]``."""
+    name to its column, in CSV order; ``checks`` holds each bound evaluated
+    over the whole sweep."""
 
     params: dict
     delta: np.ndarray
     unitarity: np.ndarray
     bound_lower: np.ndarray
     bound_upper: np.ndarray
-    ok: np.ndarray
-    slack: dict
+    checks: tuple[bnd.BoundCheck, ...]
 
     def __len__(self) -> int:
-        return len(self.ok)
+        return len(self.delta)
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Per point: whether every bound holds."""
+        return np.logical_and.reduce([check.satisfied for check in self.checks])
 
     def rows(self):
         """The CSV rows: parameter values, then the ``_CSV_TAIL`` columns in order."""
@@ -92,19 +96,14 @@ class TradeoffSweep:
         """Per bound: the smallest slack, the params where it occurs, and how
         many points come within TOL.tol_eq of failing."""
         lines = []
-        for name, slack in self.slack.items():
+        for check in self.checks:
+            slack = check.slack
             i = int(np.argmin(slack))
             where = " ".join(f"{k}={col[i].item()}" for k, col in self.params.items())
-            lines.append(f"# {name}: min slack {slack[i]:.3e} at {where}; "
+            lines.append(f"# {check.name}: min slack {slack[i]:.3e} at {where}; "
                          f"{int(np.count_nonzero(slack < TOL.tol_eq))} of {len(slack)} points "
                          f"with slack < {TOL.tol_eq:g}")
         return lines
-
-
-def _ok_and_slack(sides) -> tuple[np.ndarray, dict]:
-    """Row-wise ``ok`` over every ``(name, lhs, rhs)`` bound, and each bound's slack."""
-    ok = np.logical_and.reduce([bnd.holds(lhs, rhs) for _, lhs, rhs in sides])
-    return ok, {name: rhs - lhs for name, lhs, rhs in sides}
 
 
 def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
@@ -117,16 +116,14 @@ def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     weights = np.fromiter(chain.from_iterable(simplex_grid(n, n_steps)),
                           dtype=float).reshape(-1, n)
     u, delta = metrics.su2_closed_forms(weights, spin, spin)
-    sides = bnd.su2_bound_sides(spin.j, u, delta)
-    ok, slack = _ok_and_slack(sides)
-    (_, bound_lower, _), (_, _, bound_upper) = sides
+    lower, upper = bnd.su2_bound_checks(spin.j, u, delta)
 
     # one CovariantMixture per row, which perfbench's tracer pins; it re-checks each row
     mixed = np.array(parallel_map(lambda w: su2cov.CovariantMixture(spin, spin, w).weights,
                                   weights))
-    params = {"two_j": np.broadcast_to(two_j, len(ok)),
+    params = {"two_j": np.broadcast_to(two_j, len(u)),
               **{f"p_{i}": p for i, p in enumerate(mixed.T)}}
-    return TradeoffSweep(params, delta, u, bound_lower, bound_upper, ok, slack)
+    return TradeoffSweep(params, delta, u, lower.lhs, upper.rhs, (lower, upper))
 
 
 def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
@@ -140,12 +137,10 @@ def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
     pops = np.stack([p00, 1.0 - p11, 1.0 - p00, p11], axis=-1).reshape(-1, 2, 2)
     delta = u1cov.u1_deviation(spec, pops)
     u = u1cov.optimal_unitarity_for_population(spec, pops)
-    cap = bnd.u1_cap_sides(spec.d, spec.degeneracy(), spec.width, delta, u)
-    ok, slack = _ok_and_slack((cap,))
-    _, _, bound_upper = cap
+    cap = bnd.u1_cap(spec.d, spec.degeneracy(), spec.width, delta, u)
     label = ";".join(str(x) for x in spec.levels)
-    params = {"levels": np.broadcast_to(label, len(ok)), "p00": p00, "p11": p11}
-    return TradeoffSweep(params, delta, u, np.zeros(len(ok)), bound_upper, ok, slack)
+    params = {"levels": np.broadcast_to(label, len(u)), "p00": p00, "p11": p11}
+    return TradeoffSweep(params, delta, u, np.zeros(len(u)), cap.rhs, (cap,))
 
 
 def _write_records(sweep: TradeoffSweep, fmt: str, out_path: str | None) -> None:
@@ -226,9 +221,9 @@ def _check_su2_sweep(rng: np.random.Generator) -> dict:
         spin = SpinJ(two_j)
         weights = rng.dirichlet([0.7] * (two_j + 1), size=500)
         u, delta = metrics.su2_closed_forms(weights, spin, spin)
-        ok, _ = _ok_and_slack(bnd.su2_bound_sides(spin.j, u, delta))
-        total += len(ok)
-        violations += int(np.count_nonzero(~ok))
+        lower, upper = bnd.su2_bound_checks(spin.j, u, delta)
+        total += len(u)
+        violations += int(np.count_nonzero(~(lower.satisfied & upper.satisfied)))
     return {"name": "su2_tradeoff_bounds", "passed": violations == 0,
             "detail": f"{violations} violations over {total} mixtures"}
 
@@ -266,8 +261,7 @@ def _check_conservation_split(rng: np.random.Generator) -> dict:
     worst = 0.0
     for two_l in (0, 2, 4):
         ch = su2cov.extremal_channel(spin, spin, two_l)
-        comp = QuantumChannel(spin.dim, spin.dim,
-                              kraus=su2cov.extremal_kraus(spin, spin, two_l)).complementary()
+        comp = ch.complementary()
         envs = su2cov.environment_spin_generators(two_l)
         for _ in range(5):
             v = haar_pure(spin.dim, rng)
@@ -363,18 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_sweep(args, title: str, build, need: str = "", flags_ok: bool = True) -> int:
-    """Body of both sweep commands: check the flags (``need`` names the
-    conditions besides the grid's), build and write the records, then print
-    the summary and near-miss lines. Exit 1 on any bound violation."""
-    if not (flags_ok and 0.0 < args.grid <= 1.0):
-        print(f"error: need {need}0 < --grid <= 1", file=sys.stderr)
-        return 2
-    try:
-        sweep = build()
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def _run_sweep(args, title: str, sweep: TradeoffSweep) -> int:
+    """Tail of both sweep commands: write the records, then print the summary
+    and near-miss lines. Exit 1 on any bound violation."""
     _write_records(sweep, args.format, args.out)
     n_bad = int(np.count_nonzero(~sweep.ok))
     print(f"# {title}: {len(sweep)} records, {n_bad} bound violations", file=sys.stderr)
@@ -383,27 +368,20 @@ def _run_sweep(args, title: str, build, need: str = "", flags_ok: bool = True) -
 
 
 def _cmd_su2_tradeoff(args) -> int:
+    if not (args.two_j >= 1 and 0.0 < args.grid <= 1.0):
+        raise ValueError("need --two-j >= 1 and 0 < --grid <= 1")
     return _run_sweep(args, f"su2 tradeoff two_j={args.two_j} grid={args.grid}",
-                      lambda: su2_tradeoff_records(args.two_j, args.grid),
-                      need="--two-j >= 1 and ", flags_ok=args.two_j >= 1)
+                      su2_tradeoff_records(args.two_j, args.grid))
 
 
 def _cmd_su2_kappa(args) -> int:
-    try:
-        report = su2cov.kappa_extrema(SpinJ(args.two_jA), SpinJ(args.two_jB))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = su2cov.kappa_extrema(SpinJ(args.two_jA), SpinJ(args.two_jB))
     print(json.dumps(report.as_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_su2_channel(args) -> int:
-    try:
-        channel = su2cov.extremal_channel(SpinJ(args.two_jA), SpinJ(args.two_jB), args.two_L)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    channel = su2cov.extremal_channel(SpinJ(args.two_jA), SpinJ(args.two_jB), args.two_L)
     if args.out:
         channel.save_json(args.out, args.representation)
     else:
@@ -412,23 +390,23 @@ def _cmd_su2_channel(args) -> int:
 
 
 def _cmd_u1_tradeoff(args) -> int:
+    if not 0.0 < args.grid <= 1.0:
+        raise ValueError("need 0 < --grid <= 1")
     return _run_sweep(args, f"u1 tradeoff levels={args.levels} grid={args.grid}",
-                      lambda: u1_tradeoff_records([int(x) for x in args.levels.split(",")],
-                                                  args.grid))
+                      u1_tradeoff_records([int(x) for x in args.levels.split(",")], args.grid))
 
 
 def _cmd_u1_build(args) -> int:
+    with open(args.json_path) as fh:
+        obj = json.load(fh)
+    for key in ("levels", "gamma"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"spec {args.json_path} has no {key!r}")
     try:
-        with open(args.json_path) as fh:
-            obj = json.load(fh)
-        for key in ("levels", "gamma"):
-            if not isinstance(obj, dict) or key not in obj:
-                raise ValueError(f"spec {args.json_path} has no {key!r}")
         spec = u1cov.EnergySpectrum(tuple(obj["levels"]))
         ch = u1cov.build_extremal(spec, obj["gamma"], phases=obj.get("phases"))
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except TypeError as err:  # a spec value of the wrong JSON type
+        raise ValueError(str(err)) from err
     if args.out:
         ch.save_json(args.out, "jamiolkowski")
     check = bnd.u1_bound(ch)
@@ -445,8 +423,7 @@ def _cmd_u1_build(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     if args.seed < 0 or args.samples < 100:
-        print("error: need --seed >= 0 and --samples >= 100", file=sys.stderr)
-        return 2
+        raise ValueError("need --seed >= 0 and --samples >= 100")
     report = run_verification(args.seed, args.samples, inject_corrupt=args.inject_corrupt)
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if report["all_passed"] else 1
@@ -456,7 +433,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as err:  # an unreadable input or unwritable --out file
+    except (ValueError, OSError) as err:  # a usage error, an unreadable input or unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -176,7 +176,7 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumCh
     return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: int) -> float:
     """The factor f_l(E^L) by which E^L rescales the spin-l tensor sector.
 

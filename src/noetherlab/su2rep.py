@@ -91,7 +91,7 @@ def _check_jm(two_j: int, two_m: int, label: str) -> None:
         raise ValueError(f"{label}: |m| > j (two_j={two_j}, two_m={two_m})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def clebsch_gordan(
     two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: int
 ) -> SignedSqrtRational:
@@ -154,7 +154,7 @@ def clebsch_gordan(
     return SignedSqrtRational(sign, total * total * pref)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cg(two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: int) -> float:
     """Floating-point Clebsch-Gordan coefficient (memoized)."""
     return clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_J, two_M).value()
@@ -166,7 +166,7 @@ def spin_norm(spin: SpinJ) -> float:
     return float(np.sqrt(j * (j + 1) * (2 * j + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def spin_operators(spin: SpinJ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only angular momentum matrices (Jx, Jy, Jz) in the descending-m basis."""
     d = spin.dim

@@ -117,7 +117,7 @@ class U1BlockChannel(QuantumChannel):
     """
 
     def __init__(self, spectrum: EnergySpectrum, jamiolkowski):
-        j = np.array(jamiolkowski, dtype=complex)
+        j = np.asarray(jamiolkowski, dtype=complex)  # copied once by QuantumChannel
         n = spectrum.d ** 2
         if j.shape != (n, n):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}, got shape {j.shape}")

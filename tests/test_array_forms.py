@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noetherlab.bounds import holds, su2_bound_sides, su2_bounds, u1_cap, u1_cap_sides
+from noetherlab.bounds import su2_bound_checks, su2_bounds, u1_cap
 from noetherlab.metrics import deviation_su2_closed, su2_closed_forms, unitarity_su2_closed
 from noetherlab.su2cov import CovariantMixture, check_weights, coupled_labels
 from noetherlab.su2rep import SpinJ
@@ -63,14 +63,14 @@ class TestSu2ArrayForms:
     def test_bound_sides_match_su2_bounds(self, two_j, rows, seed):
         spin = SpinJ(two_j)
         weights = weight_stack(spin, spin, rows, seed)
-        sides = su2_bound_sides(spin.j, *su2_closed_forms(weights, spin, spin))
+        sides = su2_bound_checks(spin.j, *su2_closed_forms(weights, spin, spin))
         for k, w in enumerate(weights):
             checks = su2_bounds(CovariantMixture(spin, spin, tuple(w)))
-            for (name, lhs, rhs), check in zip(sides, checks):
-                assert name == check.name
-                assert abs(lhs[k] - check.lhs) <= TOL
-                assert abs(rhs[k] - check.rhs) <= TOL
-                assert bool(holds(lhs[k], rhs[k])) is check.satisfied
+            for many, check in zip(sides, checks):
+                assert many.name == check.name
+                assert abs(many.lhs[k] - check.lhs) <= TOL
+                assert abs(many.rhs[k] - check.rhs) <= TOL
+                assert bool(many.satisfied[k]) is check.satisfied
 
     def test_single_vector_gives_scalars(self):
         spin = SpinJ(2)
@@ -112,7 +112,7 @@ class TestU1ArrayForms:
         u = optimal_unitarity_for_population(spec, pops)
         assert delta.shape == u.shape == (len(pops),)
         g = spec.degeneracy()
-        name, lhs, rhs = u1_cap_sides(spec.d, g, spec.width, delta, u)
+        many = u1_cap(spec.d, g, spec.width, delta, u)
         for k, pop in enumerate(pops):
             d_one = u1_deviation(spec, pop)
             u_one = optimal_unitarity_for_population(spec, pop)
@@ -120,9 +120,9 @@ class TestU1ArrayForms:
             assert abs(delta[k] - d_one) <= TOL
             assert abs(u[k] - u_one) <= TOL
             check = u1_cap(spec.d, g, spec.width, d_one, u_one)
-            assert name == check.name
-            assert abs(lhs[k] - check.lhs) <= TOL and abs(rhs[k] - check.rhs) <= TOL
-            assert bool(holds(lhs[k], rhs[k])) is check.satisfied
+            assert many.name == check.name
+            assert abs(many.lhs[k] - check.lhs) <= TOL and abs(many.rhs[k] - check.rhs) <= TOL
+            assert bool(many.satisfied[k]) is check.satisfied
 
     @pytest.mark.parametrize("entry, value, match", [
         ((1, 0, 0), -0.1, "negative"),

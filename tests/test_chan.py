@@ -87,8 +87,19 @@ class TestStoredFormsReadOnly:
     def test_caller_array_keeps_its_flags(self):
         j = np.eye(4, dtype=complex) / 4
         e = QuantumChannel(2, 2, jamiolkowski=j)
-        assert np.shares_memory(e.jamiolkowski, j)
+        assert not np.shares_memory(e.jamiolkowski, j)  # the given form is copied
         assert j.flags.writeable
+
+    @pytest.mark.parametrize("form", ["kraus", "liouville", "jamiolkowski"])
+    def test_caller_edits_do_not_reach_the_channel(self, form):
+        given = getattr(random_channel(3, 2, 2, 5), form)
+        given = [np.array(k) for k in given] if form == "kraus" else np.array(given)
+        e = QuantumChannel(3, 2, **{form: given})
+        before = [np.array(a) for a in (e.jamiolkowski, e.liouville, *e.kraus)]
+        (given[0] if form == "kraus" else given)[0, 0] += 5.0
+        after = (e.jamiolkowski, e.liouville, *e.kraus)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert abs(np.trace(e.apply(np.eye(3) / 3)) - 1.0) < 1e-12
 
 
 READ_FIRST = {

@@ -338,6 +338,30 @@ class TestMainEntry:
         assert_usage_error(code, out, err)
         assert "invalid choice: 'su3'" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("su2 tradeoff --two-j 0 --grid 0.5", "need --two-j >= 1 and 0 < --grid <= 1"),
+        ("su2 tradeoff --two-j 1 --grid 0", "need --two-j >= 1 and 0 < --grid <= 1"),
+        ("su2 tradeoff --two-j 1 --grid 0.3", "grid must be 1/n for an integer n, got 0.3"),
+        ("u1 tradeoff --levels 0,1 --grid 2", "need 0 < --grid <= 1"),
+        ("u1 tradeoff --levels 1,0 --grid 0.5",
+         "levels must be two or more strictly increasing integers"),
+        ("u1 tradeoff --levels a,1 --grid 0.5", "invalid literal for int() with base 10: 'a'"),
+        ("su2 kappa --two-jA 0 --two-jB 1", "polarization scaling needs both spins nonzero"),
+        ("su2 channel --two-jA 1 --two-jB 1 --two-L 9", "two_l=9 outside the admissible ladder"),
+        ("verify all --samples 5", "need --seed >= 0 and --samples >= 100"),
+    ])
+    def test_usage_error_is_one_exact_line(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_type_error_outside_a_spec_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug, not a usage error")
+        monkeypatch.setattr(cli.su2cov, "kappa_extrema", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["su2", "kappa", "--two-jA", "1", "--two-jB", "1"])
+
 
 class TestExecutionOrder:
     def test_rows_independent_of_execution_order(self, monkeypatch):

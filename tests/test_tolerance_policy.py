@@ -10,10 +10,6 @@ from noetherlab.chan import identity_channel
 
 TOLERANCE_NAMES = {"tol", "slack", "floor"}
 
-# Records whose ``slack`` field is the measured margin rhs - lhs they carry,
-# not a tolerance.
-SLACK_RECORDS = {"bounds.BoundCheck.__init__", "cli.TradeoffSweep.__init__"}
-
 
 def _modules():
     return {info.name: importlib.import_module(f"noetherlab.{info.name}")
@@ -40,7 +36,7 @@ def _public_callables():
 def test_no_public_callable_takes_a_tolerance():
     offenders = [f"{where}({p})" for where, fn in _public_callables()
                  for p in inspect.signature(fn).parameters
-                 if p in TOLERANCE_NAMES and where not in SLACK_RECORDS]
+                 if p in TOLERANCE_NAMES]
     assert offenders == []
 
 
@@ -48,7 +44,7 @@ def test_the_scan_sees_methods_and_constructors():
     seen = dict(_public_callables())
     for where in ("chan.QuantumChannel.__init__", "chan.QuantumChannel.from_json_dict",
                   "bounds.BoundCheck.of", "mcoracle.McEstimate.within", "numkit.is_psd",
-                  *SLACK_RECORDS):
+                  "bounds.BoundCheck.__init__", "cli.TradeoffSweep.__init__"):
         assert where in seen
 
 

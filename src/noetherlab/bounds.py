@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCheck:
     """One evaluated inequality lhs <= rhs (within tol_eq), at a point or
     elementwise over arrays of one shape: ``satisfied`` and ``slack`` are then

@@ -75,8 +75,7 @@ class QuantumChannel:
         self.d_out = int(d_out)
         self._kraus = None
         self._liouville = None
-        # the given form is copied once (a derived one is not), then converted down to J
-        copy = True
+        # the given form is copied, so the caller cannot edit it, then converted down to J
         if stinespring is not None:
             v = np.asarray(stinespring, dtype=complex)
             if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
@@ -88,14 +87,14 @@ class QuantumChannel:
             if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
                 raise ValueError("Kraus operators must be d_out x d_in")
             self._kraus = [_sealed(k) for k in ks]
-            liouville, copy = sum(np.kron(k, k.conj()) for k in ks), None
+            liouville = sum(np.kron(k, k.conj()) for k in ks)
         if liouville is not None:
-            m = np.array(liouville, dtype=complex, copy=copy)
+            m = np.array(liouville, dtype=complex)
             if m.shape != (self.d_out**2, self.d_in**2):
                 raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
             self._liouville = _sealed(m)
-            jamiolkowski, copy = reshuffle(m, self.d_out, self.d_in) / self.d_in, None
-        j = _sealed(np.array(jamiolkowski, dtype=complex, copy=copy))
+            jamiolkowski = reshuffle(m, self.d_out, self.d_in) / self.d_in
+        j = _sealed(np.array(jamiolkowski, dtype=complex))
         n = self.d_out * self.d_in
         if j.shape != (n, n):
             raise ValueError(f"Jamiolkowski state must be {n} x {n}")

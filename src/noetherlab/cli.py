@@ -424,7 +424,10 @@ def _cmd_u1_build(args) -> int:
 def _cmd_verify_all(args) -> int:
     if args.seed < 0 or args.samples < 100:
         raise ValueError("need --seed >= 0 and --samples >= 100")
-    report = run_verification(args.seed, args.samples, inject_corrupt=args.inject_corrupt)
+    try:
+        report = run_verification(args.seed, args.samples, inject_corrupt=args.inject_corrupt)
+    except ChannelValidationError as err:  # a failed invariant, not a usage error: exit 1
+        raise RuntimeError("a verification check built an invalid channel") from err
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if report["all_passed"] else 1
 

@@ -207,7 +207,9 @@ class TestU1Bound:
         ch = build_extremal(spec, np.full((3, 3), 1 / 3))
         delta = u1_deviation(spec, ch.population_matrix())
         chk = u1_bound(ch)
-        assert u1_cap(spec.d, spec.degeneracy(), spec.width, delta, chk.lhs) == chk
+        cap = u1_cap(spec.d, spec.degeneracy(), spec.width, delta, chk.lhs)
+        assert (cap.name, cap.lhs, cap.rhs, cap.applicable) == (
+            chk.name, chk.lhs, chk.rhs, chk.applicable)
 
 
 class TestDiamondBound:

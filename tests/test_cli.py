@@ -362,6 +362,15 @@ class TestMainEntry:
         with pytest.raises(TypeError, match="a bug"):
             main(["su2", "kappa", "--two-jA", "1", "--two-jB", "1"])
 
+    def test_invalid_channel_in_verify_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(*args):
+            raise chan.ChannelValidationError("not completely positive")
+        monkeypatch.setattr(cli, "_check_roundtrip", broken)
+        with pytest.raises(RuntimeError) as excinfo:
+            main(["verify", "all", "--samples", "100"])
+        assert isinstance(excinfo.value.__cause__, chan.ChannelValidationError)
+        assert "error:" not in capsys.readouterr().err
+
 
 class TestExecutionOrder:
     def test_rows_independent_of_execution_order(self, monkeypatch):

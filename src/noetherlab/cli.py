@@ -244,7 +244,7 @@ def _check_closed_forms(rng: np.random.Generator) -> dict:
     errs = []
     for two_j in range(1, 5):
         spin = SpinJ(two_j)
-        f1 = su2cov.f1_explicit(spin, spin, 2 * two_j)
+        f1 = su2cov.scaling_coefficient(two_j, two_j, 2 * two_j, 2)
         errs.append(abs(f1 + spin.j / (spin.j + 1)))
         direct = su2cov.extremal_channel(spin, spin, 2 * two_j)
         rho = np.zeros((spin.dim, spin.dim), dtype=complex)
@@ -399,14 +399,13 @@ def _cmd_u1_tradeoff(args) -> int:
 def _cmd_u1_build(args) -> int:
     with open(args.json_path) as fh:
         obj = json.load(fh)
-    for key in ("levels", "gamma"):
-        if not isinstance(obj, dict) or key not in obj:
+    for key in ("levels", "gamma", "phases"):  # phases may be absent or null
+        if key != "phases" and not (isinstance(obj, dict) and key in obj):
             raise ValueError(f"spec {args.json_path} has no {key!r}")
-    try:
-        spec = u1cov.EnergySpectrum(tuple(obj["levels"]))
-        ch = u1cov.build_extremal(spec, obj["gamma"], phases=obj.get("phases"))
-    except TypeError as err:  # a spec value of the wrong JSON type
-        raise ValueError(str(err)) from err
+        if not isinstance(obj.get(key, []), list) and (key != "phases" or obj[key] is not None):
+            raise ValueError(f"spec {args.json_path}: {key!r} must be a JSON array")
+    spec = u1cov.EnergySpectrum(tuple(obj["levels"]))
+    ch = u1cov.build_extremal(spec, obj["gamma"], phases=obj.get("phases"))
     if args.out:
         ch.save_json(args.out, "jamiolkowski")
     check = bnd.u1_bound(ch)

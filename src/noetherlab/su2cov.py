@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .chan import QuantumChannel, assert_covariant
 from .numkit import TOL
-from .su2rep import ItoBasis, SpinJ, cg, check_ladder, coupled_labels, ito_basis, spin_operators
+from .su2rep import (ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_norm,
+                     spin_operators)
 
 __all__ = [
     "CovariantMixture",
@@ -176,28 +176,21 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumCh
     return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out)
 
 
-@lru_cache(maxsize=1024)
 def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: int) -> float:
-    """The factor f_l(E^L) by which E^L rescales the spin-l tensor sector.
+    """The factor f_l(E^L) = tr(T^in_{l,0}^dag E^L_adj(T^out_{l,0})) by which E^L
+    rescales the spin-l tensor sector.
 
-    Closed Clebsch-Gordan sum; exact up to floating conversion of exact
-    square-rooted rationals.
+    The M = 0 operators are diagonal: this contracts their diagonals with the
+    population transfer sum_k |K_k|^2 of the :func:`extremal_kraus` family.
     """
-    tja, tjb = two_j_in, two_j_out
-    check_ladder(SpinJ(tja), SpinJ(tjb), two_l_chan)
-    if two_l > 2 * min(tja, tjb) or two_l % 2:
+    spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
+    family = ito_basis(spin_in, spin_out).family(two_l_chan)
+    transfer = spin_in.dim / (two_l_chan + 1) * np.sum(np.abs(family) ** 2, axis=0)
+    if two_l > 2 * min(two_j_in, two_j_out) or two_l % 2:
         raise ValueError("tensor sector label must be an integer <= 2 min(j_in, j_out)")
-    ratio = np.sqrt((tjb + 1) / (tja + 1))
-    denom = cg(tjb, tjb, two_l, 0, tjb, tjb)
-    total = 0.0
-    for two_s in range(-two_l_chan, two_l_chan + 2, 2):
-        two_m = tjb + two_s
-        if abs(two_m) > tja:
-            continue
-        num = cg(tja, two_m, two_l, 0, tja, two_m)
-        weight = cg(tjb, tjb, two_l_chan, two_s, tja, two_m)
-        total += (num / denom) * weight * weight
-    return float(ratio * total)
+    t_in, t_out = (np.diagonal(ito_basis(s).family(two_l)[two_l // 2])
+                   for s in (spin_in, spin_out))
+    return float(np.real(t_out @ transfer @ t_in))
 
 
 def scaling_vector(mix: CovariantMixture) -> np.ndarray:
@@ -215,11 +208,8 @@ def scaling_vector(mix: CovariantMixture) -> np.ndarray:
 
 
 def f1_explicit(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
-    """Closed form for the spin-sector coefficient f_1(E^L)."""
-    check_ladder(spin_in, spin_out, two_l)
-    ja, jb, l = spin_in.j, spin_out.j, two_l / 2
-    pref = np.sqrt(jb * (jb + 1) * (2 * ja + 1) / (ja * (ja + 1) * (2 * jb + 1)))
-    return float(pref * (ja * (ja + 1) + jb * (jb + 1) - l * (l + 1)) / (2 * jb * (jb + 1)))
+    """Closed form for f_1(E^L): kappa(E^L) rescaled by ||J_in|| / ||J_out||."""
+    return polarization_factor(spin_in, spin_out, two_l) * spin_norm(spin_in) / spin_norm(spin_out)
 
 
 def polarization_factor(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:

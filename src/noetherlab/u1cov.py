@@ -163,7 +163,8 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     phi = np.zeros(d * d)
     for pair, value in phase_map.items():
         phi[pair_index[pair]] = value
-    amp = np.exp(1j * phi) * np.sqrt(gamma.ravel() / d)
+    # round-off negatives, down to -tol_eq as assert_stochastic allows, are clipped to 0
+    amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0) / d)
     # + 0 turns the -0.0 entries of the outer product into 0.0
     j = np.where(_same_label(spectrum), np.outer(amp, amp.conj()), 0) + 0
     return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)

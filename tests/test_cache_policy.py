@@ -32,5 +32,5 @@ def test_every_cache_has_a_finite_maxsize():
 def test_the_scan_sees_the_caches():
     seen = dict(_cached_callables())
     for where in ("su2rep.clebsch_gordan", "su2rep.cg", "su2rep.spin_operators",
-                  "su2rep._ito_basis_cached", "su2cov.scaling_coefficient"):
+                  "su2rep._ito_basis_cached"):
         assert where in seen

@@ -210,6 +210,31 @@ class TestU1Build:
         spec_file.write_text(spec)
         assert_usage_error(*run_cli("u1", "build", "--json", str(spec_file)))
 
+    def test_round_off_negative_population_builds_clean(self, tmp_path):
+        # assert_stochastic accepts entries down to -tol_eq; none may reach np.sqrt
+        spec_file = tmp_path / "in.json"
+        spec_file.write_text('{"levels":[0,1],"gamma":[[1,-1e-13],[0,1.0000000000001]]}')
+        code, stdout, err = run_cli("u1", "build", "--json", str(spec_file))
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["bound_satisfied"]
+
+    @pytest.mark.parametrize("key,value", [("levels", 5), ("phases", 5), ("phases", {"abc": 1})],
+                             ids=["int_levels", "int_phases", "object_phases"])
+    def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
+        spec_file = tmp_path / "in.json"
+        spec_file.write_text(json.dumps({"levels": [0, 1], "gamma": [[1, 0], [0, 1]], key: value}))
+        code, stdout, err = run_cli("u1", "build", "--json", str(spec_file))
+        assert_usage_error(code, stdout, err)
+        assert err == f"error: spec {spec_file}: {key!r} must be a JSON array\n"
+
+    def test_null_phases_are_no_phases(self, tmp_path):
+        spec = {"levels": [0, 1], "gamma": [[0.0, 1.0], [1.0, 0.0]]}
+        outputs = []
+        for extra in ({}, {"phases": None}):
+            spec_file = tmp_path / "in.json"
+            spec_file.write_text(json.dumps({**spec, **extra}))
+            outputs.append(run_cli("u1", "build", "--json", str(spec_file)))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     @pytest.mark.parametrize("key", ["levels", "gamma"])
     def test_missing_key_names_spec_and_key(self, tmp_path, key):

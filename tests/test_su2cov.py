@@ -55,6 +55,18 @@ def extremal_liouville_oracle(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np
     return lv
 
 
+def scaling_coefficient_oracle(two_j_in, two_j_out, two_l_chan, two_l) -> float:
+    """f_l(E^L) as a direct Clebsch-Gordan sum, independent of the ITO basis."""
+    tja, tjb = two_j_in, two_j_out
+    total = 0.0
+    for two_s in range(-two_l_chan, two_l_chan + 2, 2):
+        two_m = tjb + two_s
+        if abs(two_m) <= tja:
+            weight = cg(tjb, tjb, two_l_chan, two_s, tja, two_m)
+            total += cg(tja, two_m, two_l, 0, tja, two_m) * weight * weight
+    return np.sqrt((tjb + 1) / (tja + 1)) * total / cg(tjb, tjb, two_l, 0, tjb, tjb)
+
+
 def random_mixture(spin_in, spin_out, rng) -> CovariantMixture:
     n = len(coupled_labels(spin_in, spin_out))
     return CovariantMixture(spin_in, spin_out, tuple(rng.dirichlet([0.8] * n)))
@@ -350,6 +362,22 @@ class TestScalingCoefficients:
                                    @ e.apply(t_in.family(two_l)[two_l // 2]))
                     expect = scaling_coefficient(a, b, two_l_chan, two_l)
                     assert abs(got.real - expect) < 1e-12 and abs(got.imag) < 1e-12
+
+    @pytest.mark.parametrize("two_j_in", range(7))
+    def test_definition_and_cg_sum_every_label_and_sector(self, two_j_in):
+        # f_l(E^L) = tr(T^in_{l,0}^dag E^L_adj(T^out_{l,0})), l >= 2 and unequal spins included
+        sa = SpinJ(two_j_in)
+        for sb in map(SpinJ, range(7)):
+            for two_l_chan in coupled_labels(sa, sb):
+                e = extremal_channel(sa, sb, two_l_chan)
+                for two_l in range(0, 2 * min(sa.two_j, sb.two_j) + 2, 2):
+                    t_in = ito_basis(sa).family(two_l)[two_l // 2]
+                    t_out = ito_basis(sb).family(two_l)[two_l // 2]
+                    expect = np.trace(dagger(t_in) @ e.apply_adjoint(t_out))
+                    got = scaling_coefficient(sa.two_j, sb.two_j, two_l_chan, two_l)
+                    assert abs(got - expect) < 1e-12
+                    oracle = scaling_coefficient_oracle(sa.two_j, sb.two_j, two_l_chan, two_l)
+                    assert abs(got - oracle) < 1e-12
 
     def test_f1_explicit_examples(self):
         assert abs(f1_explicit(SpinJ(1), SpinJ(2), 1) - 2 / 3) < 1e-12

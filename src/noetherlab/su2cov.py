@@ -3,10 +3,11 @@
 The convex set of such channels is a simplex whose vertices are channels
 ``E^L`` with Jamiolkowski state equal to the normalized projector onto the
 spin-L irreducible subspace of ``H_out (x) H_in``.  Everything here is
-built from exact Clebsch-Gordan data.  ``Pi_L`` is the sum of
-``|T_{L,M}><T_{L,M}|`` over the vectorized spin-L tensor operators, so block
-traces and block sums are contractions with the ITO basis: no dense
-projector is stored, and twirling is exact (no group quadrature).
+built from the ITO basis of :mod:`su2rep` (held to exact Clebsch-Gordan
+data by the tests).  ``Pi_L`` is the sum of ``|T_{L,M}><T_{L,M}|`` over the
+vectorized spin-L tensor operators, so block traces and block sums are
+contractions with the basis's one real block per M: no dense projector is
+stored, and twirling is exact (no group quadrature).
 """
 
 from __future__ import annotations
@@ -109,24 +110,26 @@ class KappaReport:
 
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
     """Projector onto the spin-L irrep of H_out (x) H_in under U_out (x) U_in^*,
-    built on each call (the simplex operations below never form it)."""
+    built from the ITO family on each call (the simplex operations never form it)."""
     rows = ito_basis(spin_in, spin_out).family(two_l).reshape(two_l + 1, -1)
     return rows.T @ rows.conj()
 
 
 def _block_weights(basis: ItoBasis, j: np.ndarray) -> np.ndarray:
     """p_L = tr(Pi_L J) = sum_M <T_{L,M}|J|T_{L,M}> per irrep L of ``basis``, ascending."""
-    v = basis.vectors
-    per_op = np.real(np.sum(v.conj() * (v @ j.T), axis=1))
-    sizes = [two_l + 1 for two_l in basis.labels]
-    return np.add.reduceat(per_op, np.cumsum([0] + sizes[:-1]))
+    p = np.zeros(len(basis.labels))
+    for _, index, v in basis.blocks:
+        p[-v.shape[1]:] += np.sum(v * (j[np.ix_(index, index)].real @ v), axis=0)
+    return p
 
 
 def _block_state(basis: ItoBasis, weights) -> np.ndarray:
     """sum_L p_L Pi_L / (2L+1): the Jamiolkowski state with block weights p_L."""
-    v = basis.vectors
-    sizes = [two_l + 1 for two_l in basis.labels]
-    return (v.T * np.repeat(np.asarray(weights) / sizes, sizes)) @ v.conj()
+    scaled = np.asarray(weights) / [two_l + 1 for two_l in basis.labels]
+    j = np.zeros((basis.spin_out.dim * basis.spin_in.dim,) * 2, dtype=complex)
+    for _, index, v in basis.blocks:
+        j[np.ix_(index, index)] = (v * scaled[-v.shape[1]:]) @ v.T
+    return j
 
 
 def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarray]:
@@ -219,6 +222,8 @@ def polarization_factor(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
     ``(j_in(j_in+1) + j_out(j_out+1) - L(L+1)) / (2 j_in (j_in+1))``,
     computed exactly and rounded once at the interface.
     """
+    if spin_in.two_j == 0 or spin_out.two_j == 0:
+        raise ValueError("polarization scaling needs both spins nonzero")
     check_ladder(spin_in, spin_out, two_l)
     ta, tb, tl = spin_in.two_j, spin_out.two_j, two_l
     exact = Fraction(ta * (ta + 2) + tb * (tb + 2) - tl * (tl + 2), 2 * ta * (ta + 2))
@@ -232,8 +237,6 @@ def kappa_extrema(spin_in: SpinJ, spin_out: SpinJ) -> KappaReport:
     maximum at L = |j_in - j_out|; amplification (kappa > 1) occurs only
     for j_out > j_in.
     """
-    if spin_in.two_j == 0 or spin_out.two_j == 0:
-        raise ValueError("polarization scaling needs both spins nonzero")
     labels = coupled_labels(spin_in, spin_out)
     kappas = {two_l: polarization_factor(spin_in, spin_out, two_l) for two_l in labels}
     lo = min(kappas, key=kappas.get)

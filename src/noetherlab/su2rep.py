@@ -1,9 +1,10 @@
-"""Exact SU(2) representation data.
+"""SU(2) representation data.
 
 Spin labels are stored as twice-the-spin integers so that all selection
-rules are integer arithmetic.  Clebsch-Gordan coefficients are computed
-exactly (big-integer factorials, Condon-Shortley phase convention) and
-only converted to floating point at the boundary.
+rules are integer arithmetic.  The tensor operators are built in floating
+point, one tridiagonal Casimir eigenproblem per magnetic label.  Exact
+Clebsch-Gordan coefficients (big-integer factorials, Condon-Shortley phases)
+are kept only as their oracle, for the tests and perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -201,47 +202,63 @@ def check_ladder(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> None:
 class ItoBasis:
     """Orthonormal irreducible tensor operators between two spin spaces.
 
-    ``labels`` are the irreps two_L (:func:`coupled_labels`).  Row
-    ``offset_L + (L - M)`` of ``vectors`` is ``vectorize`` of T_{L,M}, with
-    ``offset_L`` the number of rows of the irreps below L.  For equal spins
-    the operators are the polarization operators: ``T^0_0 = I / sqrt(d)``
-    and ``T^1_0`` is proportional to Jz.
+    ``labels`` are the irreps two_L (:func:`coupled_labels`).  T_{L,M} lives
+    on the entries (r, c) with m_r - m_c = M, so ``blocks`` holds one
+    ``(two_m, index, v)`` per M, descending: ``index`` lists the flat entries
+    ``r * d_in + c`` and the real orthogonal ``v`` has T_{L,M} as columns for
+    L in ``labels[-v.shape[1]:]``.  For equal spins the operators are the
+    polarization operators: ``T^0_0 = I / sqrt(d)`` and ``T^1_0`` is
+    proportional to Jz.
     """
 
     spin_in: SpinJ
     spin_out: SpinJ
     labels: tuple
-    vectors: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
 
     def family(self, two_l: int) -> np.ndarray:
-        """Read-only ``(2L+1, d_out, d_in)`` view of ``vectors``: T_{L,M}, M descending."""
+        """Read-only dense ``(2L+1, d_out, d_in)`` copy of T_{L,M}, M descending."""
         check_ladder(self.spin_in, self.spin_out, two_l)
-        offset = (two_l * two_l - self.labels[0] ** 2) // 4  # sum of 2L' + 1 over L' < L
-        return self.vectors[offset:offset + two_l + 1].reshape(two_l + 1, self.spin_out.dim, -1)
+        out = np.zeros((two_l + 1, self.spin_out.dim * self.spin_in.dim), dtype=complex)
+        for two_m, index, v in self.blocks:
+            if abs(two_m) <= two_l:
+                out[(two_l - two_m) // 2, index] = v[:, (two_l - self.labels[-v.shape[1]]) // 2]
+        out.setflags(write=False)
+        return out.reshape(two_l + 1, self.spin_out.dim, -1)
 
 
 @lru_cache(maxsize=8)  # at least the 7 spin pairs one perfbench `spin` pass cycles through
 def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
     spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
-    n = spin_out.dim * spin_in.dim
-    basis = ItoBasis(spin_in, spin_out, tuple(coupled_labels(spin_in, spin_out)),
-                     np.zeros((n, n), dtype=complex))
-    # Wigner-Eckart with unit reduced element: <j_out m_r| T_{L,M} |j_in m_c> is
-    # sqrt((2L+1)/d_out) <j_in m_c; L M | j_out m_r>, nonzero only for M = m_r - m_c.
-    for two_l in basis.labels:
-        family = basis.family(two_l)  # writable until the basis is sealed below
-        for r, two_mr in enumerate(spin_out.m_values()):
-            for c, two_mc in enumerate(spin_in.m_values()):
-                if abs(two_mr - two_mc) <= two_l:
-                    family[(two_l - two_mr + two_mc) // 2, r, c] = cg(
-                        two_j_in, two_mc, two_l, two_mr - two_mc, two_j_out, two_mr)
-        # Family sign: the first nonzero entry of each top-m operator is positive;
-        # equal spins keep the polarization operators (T^1_0 along +Jz).  Scaling
-        # the whole family gives its zero entries the sign too (-0.0).
-        family *= np.sqrt((two_l + 1) / spin_out.dim) * (
-            1 if two_j_in == two_j_out else (-1) ** ((two_j_in + two_l - two_j_out) // 2))
-    basis.vectors.setflags(write=False)
-    return basis
+    labels = tuple(coupled_labels(spin_in, spin_out))
+    blocks, z = [], np.zeros((spin_out.dim + 1, 0))  # z: block M+1 at row r + 1, zero-padded
+    for two_m in range(labels[-1], -labels[-1] - 2, -2):
+        k = (two_m - two_j_out + two_j_in) // 2  # m_r - m_c = M on the entries (r, r + k)
+        rows = np.arange(max(0, -k), min(spin_out.dim, spin_in.dim - k))
+        cols = rows + k
+        # <m+1|J_+|m> at index i of the descending m's is sqrt(i (d - i))
+        a_out, a_in = np.sqrt(rows * (spin_out.dim - rows)), np.sqrt(cols * (spin_in.dim - cols))
+        # sum_k [J_k, [J_k, .]] on the diagonal: tridiagonal, eigenvalues L(L+1), L ascending
+        diag = (two_j_in * (two_j_in + 2) + two_j_out * (two_j_out + 2)
+                - 2 * (two_j_out - 2 * rows) * (two_j_in - 2 * cols)) / 4
+        off = -a_out[1:] * a_in[1:]
+        v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[1]
+        # T_{L,M} has overlap sqrt((L+M+1)(L-M)) >= 1 with [J_-, T_{L,M+1}]: only a sign travels
+        lowered = (a_out[:, None] * z[rows]
+                   - np.sqrt((cols + 1) * (spin_in.dim - cols - 1))[:, None] * z[rows + 1])
+        n = min(len(rows), z.shape[1])
+        sign = np.sign(np.sum(v[:, len(rows) - n:] * lowered[:, z.shape[1] - n:], axis=0))
+        if len(rows) > n:  # T_{M,M} opens the block; its entries share one sign
+            top = np.sign(v[:, 0].sum()) * ((-1) ** (two_m // 2) if two_j_in == two_j_out else 1)
+            sign = np.append(top, sign)
+        v *= sign
+        z = np.zeros((spin_out.dim + 1, len(rows)))
+        z[rows + 1] = v
+        index = rows * spin_in.dim + cols
+        for a in (v, index):
+            a.setflags(write=False)
+        blocks.append((two_m, index, v))
+    return ItoBasis(spin_in, spin_out, labels, tuple(blocks))
 
 
 def ito_basis(spin_in: SpinJ, spin_out: SpinJ | None = None) -> ItoBasis:

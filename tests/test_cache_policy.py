@@ -1,11 +1,13 @@
 """Bounded caches: every memoized callable in noetherlab holds a finite number
-of entries, so a long run at large spin cannot grow a cache without limit."""
+of entries, so a long run at large spin cannot grow a cache without limit, and
+a cached ITO basis is small in bytes."""
 
 import importlib
 import inspect
 import pkgutil
 
 import noetherlab
+from noetherlab.su2rep import SpinJ, ito_basis
 
 
 def _cached_callables():
@@ -34,3 +36,9 @@ def test_the_scan_sees_the_caches():
     for where in ("su2rep.clebsch_gordan", "su2rep.cg", "su2rep.spin_operators",
                   "su2rep._ito_basis_cached"):
         assert where in seen
+
+
+def test_large_ito_basis_is_small_in_bytes():
+    # the dense d^2 x d^2 layout would hold 45 MB at two_j=40
+    blocks = ito_basis(SpinJ(40)).blocks
+    assert sum(index.nbytes + v.nbytes for _, index, v in blocks) < 2 * 2**20

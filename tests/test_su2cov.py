@@ -418,6 +418,16 @@ class TestPolarization:
         r = kappa_extrema(SpinJ(2), SpinJ(1))
         assert abs(r.kappa_plus - 1 / 2) < 1e-12 and r.two_l_plus == 1
 
+    @pytest.mark.parametrize("call", [
+        lambda: polarization_factor(SpinJ(0), SpinJ(2), 2),
+        lambda: f1_explicit(SpinJ(0), SpinJ(2), 2),
+        lambda: f1_explicit(SpinJ(2), SpinJ(0), 2),
+        lambda: kappa_extrema(SpinJ(0), SpinJ(1)),
+    ], ids=["polarization_factor", "f1_explicit_in", "f1_explicit_out", "kappa_extrema"])
+    def test_spin_zero_is_refused(self, call):
+        with pytest.raises(ValueError, match="polarization scaling needs both spins nonzero"):
+            call()
+
     def test_argmax_stability(self):
         for a in range(1, 9):
             for b in range(1, 9):

@@ -215,12 +215,17 @@ class TestItoBasis:
 
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_orthonormal_and_complete(self, two_j):
-        # row k of vectors is vectorize(T_k), so the Gram matrix tr(T_k^dag T_l)
-        # is vectors^* vectors^T
-        v = ito_basis(SpinJ(two_j)).vectors
+        # each block is real orthogonal and the diagonals tile the d x d entries,
+        # so the Gram matrix tr(T_k^dag T_l) of all the operators is the identity
+        b = ito_basis(SpinJ(two_j))
         d = two_j + 1
-        assert v.shape == (d * d, d * d)
-        assert np.allclose(v.conj() @ v.T, np.eye(d * d), atol=1e-12)
+        for _, index, v in b.blocks:
+            assert np.allclose(v.T @ v, np.eye(len(index)), atol=1e-12)
+        tiled = np.sort(np.concatenate([index for _, index, _ in b.blocks]))
+        assert np.array_equal(tiled, np.arange(d * d))
+        rows = np.concatenate([b.family(two_l).reshape(two_l + 1, -1) for two_l in b.labels])
+        assert rows.shape == (d * d, d * d)
+        assert np.allclose(rows.conj() @ rows.T, np.eye(d * d), atol=1e-12)
 
     def test_trivial_and_spin_sector(self):
         for two_j in (1, 2, 4):
@@ -258,32 +263,36 @@ class TestItoBasis:
 
     @pytest.mark.parametrize("two_j_in,two_j_out", [(1, 2), (2, 2), (4, 1), (3, 6)])
     def test_family_is_a_read_only_view_of_vectors(self, two_j_in, two_j_out):
+        # family(two_L) is a read-only dense copy of one column of each block
         s_in, s_out = SpinJ(two_j_in), SpinJ(two_j_out)
         b = ito_basis(s_in, s_out)
         # label m_r - m_c of each matrix entry; T_{L,M} lives where it equals M
         label = np.subtract.outer(s_out.m_values(), s_in.m_values())
-        offset = 0
+        top = b.labels[-1]
+        assert [two_m for two_m, _, _ in b.blocks] == list(range(top, -top - 2, -2))
+        for two_m, index, v in b.blocks:
+            assert np.all(label.flat[index] == two_m)
+            assert v.shape == (len(index), sum(two_l >= abs(two_m) for two_l in b.labels))
+            assert not v.flags.writeable and not index.flags.writeable
         for two_l in b.labels:
             family = b.family(two_l)
             assert family.shape == (two_l + 1, s_out.dim, s_in.dim)
-            assert np.shares_memory(family, b.vectors)
-            # irreps ascending, rows of one irrep contiguous
-            assert np.array_equal(family.reshape(two_l + 1, -1),
-                                  b.vectors[offset:offset + two_l + 1])
-            offset += two_l + 1
             for k, t in enumerate(family):  # M descending
-                assert np.all(t[label != two_l - 2 * k] == 0)
+                two_m = two_l - 2 * k
+                assert np.all(t[label != two_m] == 0)
+                _, index, v = b.blocks[(top - two_m) // 2]
+                assert np.array_equal(t.flat[index], v[:, (two_l - b.labels[-v.shape[1]]) // 2])
             assert not family.flags.writeable
             with pytest.raises(ValueError):
                 family[0, 0, 0] = 1.0
-        assert offset == len(b.vectors)
 
     def test_rectangular_family(self):
         b = ito_basis(SpinJ(1), SpinJ(2))
         assert b.labels == (1, 3)
-        v = b.vectors
-        assert v.shape == (6, 6)
-        assert np.allclose(v.conj() @ v.T, np.eye(6), atol=1e-12)
+        assert [v.shape for _, _, v in b.blocks] == [(1, 1), (2, 2), (2, 2), (1, 1)]
+        rows = np.concatenate([b.family(two_l).reshape(two_l + 1, -1) for two_l in b.labels])
+        assert rows.shape == (6, 6)
+        assert np.allclose(rows.conj() @ rows.T, np.eye(6), atol=1e-12)
         assert b.family(1)[0].shape == (3, 2)
 
     def test_rectangular_family_is_rotation_closed(self):
@@ -333,6 +342,72 @@ class TestItoBasis:
                 assert top[0].real > 0 and top[0].imag == 0
                 for got, ref in zip(family, self._coupling_family(two_j_in, two_j_out, two_l)):
                     assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def exact_ito_entry(two_j_in, two_j_out, two_l, r, c):
+    """<j_out m_r| T_{L,M} |j_in m_c> from exact CG by Wigner-Eckart, M = m_r - m_c,
+    with the family sign of the library's convention."""
+    two_mr, two_mc = two_j_out - 2 * r, two_j_in - 2 * c
+    sign = 1 if two_j_in == two_j_out else (-1) ** ((two_j_in + two_l - two_j_out) // 2)
+    value = clebsch_gordan(two_j_in, two_mc, two_l, two_mr - two_mc, two_j_out, two_mr).value()
+    return sign * np.sqrt((two_l + 1) / (two_j_out + 1)) * value
+
+
+def ladder_operators(spin):
+    """(Jz, J_+, J_-) of one spin."""
+    jx, jy, jz = spin_operators(spin)
+    return jz, jx + 1j * jy, jx - 1j * jy
+
+
+class TestItoOracle:
+    """The eigenblock build against exact CG and the ladder relations."""
+
+    @pytest.mark.parametrize("two_j_in", range(11))
+    def test_every_entry_matches_exact_cg(self, two_j_in):
+        for two_j_out in range(11):
+            s_in, s_out = SpinJ(two_j_in), SpinJ(two_j_out)
+            b = ito_basis(s_in, s_out)
+            label = np.subtract.outer(s_out.m_values(), s_in.m_values())  # 2 (m_r - m_c)
+            for two_l in b.labels:
+                got = b.family(two_l)
+                ref = np.zeros(got.shape)
+                for r, c in np.ndindex(label.shape):
+                    if abs(label[r, c]) <= two_l:
+                        ref[(two_l - label[r, c]) // 2, r, c] = exact_ito_entry(
+                            two_j_in, two_j_out, two_l, r, c)
+                assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("two_j_in,two_j_out", [(40, 40), (63, 63), (33, 39), (80, 80)])
+    def test_sampled_entries_match_exact_cg_at_large_spin(self, two_j_in, two_j_out):
+        b = ito_basis(SpinJ(two_j_in), SpinJ(two_j_out))
+        rng = np.random.default_rng(two_j_in * 100 + two_j_out)
+        for _ in range(200):
+            two_m, index, v = b.blocks[rng.integers(len(b.blocks))]
+            i, col = rng.integers(v.shape[0]), rng.integers(v.shape[1])
+            r, c = divmod(int(index[i]), two_j_in + 1)
+            two_l = b.labels[-v.shape[1] + col]
+            assert abs(v[i, col] - exact_ito_entry(two_j_in, two_j_out, two_l, r, c)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=16),
+           st.data())
+    def test_ladder_relations(self, two_j_in, two_j_out, data):
+        # an operator T from H_in to H_out rotates with [J, T] = J_out T - T J_in
+        s_in, s_out = SpinJ(two_j_in), SpinJ(two_j_out)
+        b = ito_basis(s_in, s_out)
+        family = b.family(data.draw(st.sampled_from(b.labels)))
+        two_l = len(family) - 1
+        (z_in, up_in, down_in), (z_out, up_out, down_out) = map(ladder_operators, (s_in, s_out))
+        # [J_+, T_{L,L}] = 0
+        assert np.max(np.abs(up_out @ family[0] - family[0] @ up_in)) < 1e-12
+        for k, t in enumerate(family):
+            two_m = two_l - 2 * k
+            # [Jz, T_{L,M}] = M T_{L,M}
+            assert np.max(np.abs(z_out @ t - t @ z_in - two_m / 2 * t)) < 1e-12
+            # [J_-, T_{L,M}] = sqrt((L+M)(L-M+1)) T_{L,M-1}
+            lowered = family[k + 1] if k < two_l else 0
+            coeff = np.sqrt((two_l + two_m) * (two_l - two_m + 2)) / 2
+            assert np.max(np.abs(down_out @ t - t @ down_in - coeff * lowered)) < 1e-11
 
 
 class TestCoherentState:

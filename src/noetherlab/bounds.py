@@ -92,7 +92,7 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet) -> BoundChe
     norm = max(_trace_norm(np.asarray(b)) + _trace_norm(np.asarray(a))
                for a, b in zip(gens.j_in, gens.j_out))
     u = unitarity_jamiolkowski(channel)
-    delta = deviation_avg(channel, gens).delta_total
+    delta = deviation_avg(channel, gens)
     rhs = 2 * gens.n * d * (d - 1) * norm**2 * (1 - u)
     return BoundCheck.of("deviation_upper_general", delta, rhs, applicable=applicable)
 
@@ -111,7 +111,7 @@ def lower_bound_multiplicity_free(channel: QuantumChannel, gens: GeneratorSet,
     k_const = min(abs(1.0 - f) for label, f in f_table.items() if label != 0)
     j_norm = np.sqrt(gens.norm_in_sq())
     u = unitarity_jamiolkowski(channel)
-    delta = deviation_avg(channel, gens).delta_total
+    delta = deviation_avg(channel, gens)
     rhs = np.sqrt(delta)
     lhs = k_const * j_norm * (1 - u) * (d - 1) * np.sqrt(d + 1) / (2 * d**2.5)
     return BoundCheck.of("sqrt_deviation_lower_multiplicity_free", lhs, rhs)
@@ -163,6 +163,6 @@ def diamond_bound_given_value(channel: QuantumChannel, gens: GeneratorSet,
     sum_k ||J_out^k||_inf^2, with the distance supplied by an external solver."""
     if diamond_distance < 0:
         raise ValueError("diamond distance must be nonnegative")
-    delta = deviation_avg(channel, gens).delta_total
+    delta = deviation_avg(channel, gens)
     rhs = diamond_distance**2 * sum(_op_norm(np.asarray(g)) ** 2 for g in gens.j_out)
     return BoundCheck.of("deviation_upper_diamond", delta, rhs)

@@ -194,14 +194,28 @@ class QuantumChannel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "QuantumChannel":
+        """Inverse of :meth:`to_json_dict`; a missing key or a malformed entry is a ValueError."""
+        def as_list(x):  # a non-list is read as its own only element, which the entry check names
+            return x if isinstance(x, list) else [x]
+
         def dec(m):
+            for z in (z for row in as_list(m) for z in as_list(row)):
+                if not (isinstance(z, list) and len(z) == 2 and all(
+                        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)):
+                    raise ValueError(f"channel entry {z!r} is not a [re, im] pair of numbers")
             return np.array([[complex(re, im) for re, im in row] for row in m])
 
-        rep = obj["repr"]
-        d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
+        if not isinstance(obj, dict):
+            raise ValueError("channel is not a JSON object")
+        missing = [k for k in ("d_in", "d_out", "repr", "data") if k not in obj]
+        if missing:
+            raise ValueError(f"channel has no {missing[0]!r}")
+        rep, d_in, d_out, data = obj["repr"], obj["d_in"], obj["d_out"], obj["data"]
+        if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in (d_in, d_out)):
+            raise ValueError(f"channel d_in={d_in!r}, d_out={d_out!r} must be positive integers")
         if rep not in ("kraus", "liouville", "jamiolkowski"):
             raise ValueError(f"unknown representation {rep!r}")
-        data = [dec(k) for k in obj["data"]] if rep == "kraus" else dec(obj["data"])
+        data = [dec(k) for k in as_list(data)] if rep == "kraus" else dec(data)
         return cls(d_in, d_out, **{rep: data})
 
     def save_json(self, path, representation: str = "kraus") -> None:

@@ -23,7 +23,6 @@ __all__ = [
     "GeneratorSet",
     "su2_generators",
     "u1_generators",
-    "DeviationReport",
     "unitarity_dim",
     "unitarity_jamiolkowski",
     "unitarity_complementary",
@@ -72,19 +71,6 @@ def u1_generators(levels) -> GeneratorSet:
     e = np.asarray(levels, dtype=float)
     h = np.diag(e - e.mean()).astype(complex)
     return GeneratorSet(j_in=(h,), j_out=(h,))
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """Average total deviation and its per-generator pieces.
-
-    ``delta_total = (sum_k trace_terms[k] + square_terms[k]) / (d (d+1))``
-    with ``trace_terms[k] = tr(dJ_k)^2`` and ``square_terms[k] = tr(dJ_k^2)``.
-    """
-
-    delta_total: float
-    trace_terms: tuple
-    square_terms: tuple
 
 
 def unitarity_dim(channel: QuantumChannel) -> int:
@@ -172,18 +158,15 @@ def delta_generators(channel: QuantumChannel, gens: GeneratorSet) -> list[np.nda
     return deltas
 
 
-def deviation_avg(channel: QuantumChannel, gens: GeneratorSet) -> DeviationReport:
-    """Average total deviation from the conservation laws of ``gens``."""
+def deviation_avg(channel: QuantumChannel, gens: GeneratorSet) -> float:
+    """Average total deviation Delta from the conservation laws of ``gens``,
+    ``(sum_k tr(dJ_k)^2 + sum_k tr(dJ_k^2)) / (d (d+1))`` over the drift
+    operators dJ_k of :func:`delta_generators`."""
     d = channel.d_in
-    trace_terms = []
-    square_terms = []
-    for dj in delta_generators(channel, gens):
-        trace_terms.append(float(np.real(np.trace(dj)) ** 2))
-        square_terms.append(float(np.real(np.trace(dj @ dj))))
-    total = (sum(trace_terms) + sum(square_terms)) / (d * (d + 1))
-    return DeviationReport(delta_total=float(total),
-                           trace_terms=tuple(trace_terms),
-                           square_terms=tuple(square_terms))
+    djs = delta_generators(channel, gens)
+    trace_terms = [float(np.real(np.trace(dj)) ** 2) for dj in djs]
+    square_terms = [float(np.real(np.trace(dj @ dj))) for dj in djs]
+    return (sum(trace_terms) + sum(square_terms)) / (d * (d + 1))
 
 
 def deviation_su2_closed(mix: CovariantMixture) -> float:

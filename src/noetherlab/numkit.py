@@ -23,15 +23,11 @@ __all__ = [
     "reshuffle",
     "partial_trace",
     "purity",
-    "fidelity",
     "is_hermitian",
-    "is_psd",
-    "assert_pure_state",
-    "assert_density_matrix",
     "as_rng",
     "haar_pure",
+    "haar_pure_batch",
     "haar_isometry",
-    "haar_unitary",
     "ginibre",
     "mat_exp_skew_hermitian",
     "parallel_map",
@@ -43,9 +39,7 @@ class Tolerances:
     """Numerical tolerances (all in [0, 1e-3]); every check reads the one instance TOL."""
 
     tol_herm: float = 1e-9
-    tol_trace: float = 1e-10
     tol_psd: float = 1e-9
-    tol_norm: float = 1e-9
     tol_eq: float = 1e-9
     tol_sum: float = 1e-6  # sum of a simplex weight vector
 
@@ -113,55 +107,8 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``tr(sqrt(sqrt(rho) sigma sqrt(rho)))^2``."""
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("fidelity requires equal-dimension states")
-    s = _psd_sqrt(rho)
-    w = np.linalg.eigvalsh(s @ sigma @ s)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-
-
 def is_hermitian(x: np.ndarray) -> bool:
     return bool(np.max(np.abs(x - dagger(x))) <= TOL.tol_herm)
-
-
-def is_psd(x: np.ndarray) -> bool:
-    return bool(np.min(np.linalg.eigvalsh((x + dagger(x)) / 2)) >= -TOL.tol_psd)
-
-
-def assert_pure_state(v: np.ndarray) -> None:
-    """Raise ValueError unless v is a finite unit-norm state vector."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"not a vector: shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite amplitudes")
-    if abs(np.linalg.norm(v) - 1.0) > TOL.tol_norm:
-        raise ValueError(f"norm {np.linalg.norm(v)} != 1 within tolerance")
-
-
-def assert_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"not a square matrix: shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("non-finite entries")
-    if not is_hermitian(rho):
-        raise ValueError("not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > TOL.tol_trace:
-        raise ValueError(f"trace {np.trace(rho)} != 1 within tolerance")
-    if not is_psd(rho):
-        raise ValueError("negative eigenvalue beyond tolerance")
 
 
 def as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.random.Generator:
@@ -196,11 +143,6 @@ def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random d x d unitary."""
-    return haar_isometry(d, d, seed)
 
 
 def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -137,9 +137,9 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     """Coherify a stochastic matrix into a covariant channel whose blocks are
     rank-1 projectors with amplitudes sqrt(gamma) e^{i phi} / sqrt(d).
 
-    ``phases`` maps (bohr, output_index) to a phase in radians; it may be a
-    dict or an iterable of (bohr, m, radians) triples.  Missing phases are 0;
-    a phase for a pair absent from the block basis is an error.
+    ``phases`` is a list (or tuple) of (bohr, output_index, radians) triples,
+    the form a JSON spec gives.  Missing phases are 0; a phase for a pair
+    absent from the block basis is an error.
     """
     bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
     if bad:  # True, "0.5" or None would be read as a number
@@ -147,10 +147,10 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     gamma = _population(spectrum, gamma)
     if gamma.ndim != 2:
         raise ValueError(f"expected one population matrix, got shape {gamma.shape}")
-    if isinstance(phases, dict):
-        phases = [(b, m, v) for (b, m), v in phases.items()]
+    if not isinstance(phases, (list, tuple, type(None))):
+        raise ValueError(f"phases {phases!r} are not [bohr, output_index, radians] triples")
     phase_map = {}
-    for entry in () if phases is None else phases:
+    for entry in phases or ():
         if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not all(map(_real, entry)):
             raise ValueError(f"phase {entry!r} is not a [bohr, output_index, radians] triple")
         phase_map[tuple(entry[:2])] = float(entry[2])

@@ -17,7 +17,7 @@ from noetherlab.chan import (
     unitary_channel,
 )
 from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_su2_closed
-from noetherlab.numkit import haar_unitary
+from noetherlab.numkit import haar_isometry
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -60,7 +60,7 @@ class TestUpperBoundGeneral:
 
     def test_rejects_non_covariant(self):
         with pytest.raises(ValueError, match="not covariant"):
-            upper_bound_general(unitary_channel(haar_unitary(2, 1)), su2_generators(SpinJ(1)))
+            upper_bound_general(unitary_channel(haar_isometry(2, 2, 1)), su2_generators(SpinJ(1)))
 
     def test_same_covariance_threshold_as_decompose(self):
         # a CPTP channel 1e-8 away from covariance: outside tol_eq = 1e-9 for both

@@ -16,7 +16,7 @@ from noetherlab.chan import (
     random_channel,
     unitary_channel,
 )
-from noetherlab.numkit import assert_density_matrix, dagger, ginibre, haar_unitary, purity
+from noetherlab.numkit import dagger, ginibre, haar_isometry, purity
 from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
 
@@ -177,12 +177,15 @@ class TestValidation:
         g = ginibre(3, 3, rng)
         rho = g @ dagger(g)
         rho /= np.trace(rho).real
-        assert_density_matrix(e.apply(rho))
+        out = e.apply(rho)
+        assert np.max(np.abs(out - dagger(out))) < 1e-12
+        assert abs(np.trace(out) - 1) < 1e-12
+        assert np.min(np.linalg.eigvalsh(out)) > -1e-12
 
 
 class TestAdjoint:
     def test_unitary_adjoint_is_inverse(self):
-        u = haar_unitary(3, 1)
+        u = haar_isometry(3, 3, 1)
         e = unitary_channel(u)
         x = ginibre(3, 3, 2)
         assert np.allclose(e.apply_adjoint(x), dagger(u) @ x @ u)
@@ -205,7 +208,7 @@ class TestAdjoint:
 
 class TestComplementary:
     def test_isometry_complement_is_constant(self):
-        e = unitary_channel(haar_unitary(3, 2)).complementary()
+        e = unitary_channel(haar_isometry(3, 3, 2)).complementary()
         assert e.d_out == 1
         rho = np.eye(3) / 3
         assert np.allclose(e.apply(rho), [[1.0]])
@@ -232,8 +235,8 @@ class TestCompose:
         assert max_action_deviation(c, depolarizing_channel(2)) < 1e-12
 
     def test_unitary_product(self):
-        u1 = haar_unitary(2, 15)
-        u2 = haar_unitary(2, 16)
+        u1 = haar_isometry(2, 2, 15)
+        u2 = haar_isometry(2, 2, 16)
         c = unitary_channel(u2).compose(unitary_channel(u1))
         assert max_action_deviation(c, unitary_channel(u2 @ u1)) < 1e-12
 
@@ -274,6 +277,30 @@ class TestChannelFile:
         assert obj["repr"] == "kraus"
         # entries are [re, im] pairs
         assert obj["data"][0][0][0] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"repr": None}, "no 'repr'"),
+        ({"data": None}, "no 'data'"),
+        ({"repr": "liouville", "data": 5}, "entry 5 "),
+        ({"data": 5}, "entry 5 "),
+        ({"data": [1, 2]}, "entry 1 "),
+        ({"repr": "jamiolkowski", "data": [[["1", 0]]]}, r"entry \['1', 0\]"),
+        ({"data": [[[[1, 0], [0, 0, 0]]]]}, r"entry \[0, 0, 0\]"),
+        ({"d_in": True, "d_out": 1, "data": [[[[1.0, 0.0]]]]}, "d_in=True"),
+        ({"d_out": 2.0}, "d_out=2.0"),
+    ], ids=["no_repr", "no_data", "int_liouville", "int_kraus", "kraus_of_numbers",
+            "string_entry", "triple_entry", "bool_d_in", "float_d_out"])
+    def test_malformed_file_is_a_value_error(self, tmp_path, changes, message):
+        obj = {**identity_channel(2).to_json_dict("kraus"), **changes}
+        obj = {key: value for key, value in obj.items() if value is not None}
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=message):
+            QuantumChannel.load_json(path)
+
+    def test_non_object_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            QuantumChannel.from_json_dict([])
 
 
 def dense_covariance_residual(channel, gens_in, gens_out):

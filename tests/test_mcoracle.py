@@ -73,7 +73,7 @@ class TestDeviationEstimator:
         e = random_channel(3, 3, 2, 9)
         gens = su2_generators(SpinJ(2))
         est = mc_deviation(e, gens, 200_000, 10)
-        exact = deviation_avg(e, gens).delta_total
+        exact = deviation_avg(e, gens)
         assert est.within(exact)
 
 

@@ -1,17 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noetherlab import numkit
 from noetherlab.numkit import (
     Tolerances,
-    assert_density_matrix,
-    fidelity,
     ginibre,
     haar_isometry,
     haar_pure,
     haar_pure_batch,
-    haar_unitary,
     mat_exp_skew_hermitian,
     partial_trace,
     purity,
@@ -122,28 +123,6 @@ class TestPurityFidelity:
     def test_diagonal(self):
         assert np.isclose(purity(np.diag([0.75, 0.25])), 0.625)
 
-    def test_fidelity_self(self):
-        rng = np.random.default_rng(4)
-        g = rand_complex(rng, 3, 3)
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        assert np.isclose(fidelity(rho, rho), 1.0, atol=1e-9)
-
-    def test_fidelity_orthogonal(self):
-        assert np.isclose(fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 0.0, atol=1e-12)
-
-    def test_fidelity_pure_vs_mixed(self):
-        assert np.isclose(fidelity(np.diag([1.0, 0.0]), np.eye(2) / 2), 0.5)
-
-    def test_fidelity_symmetric(self):
-        rng = np.random.default_rng(5)
-        states = []
-        for _ in range(2):
-            g = rand_complex(rng, 3, 3)
-            rho = g @ g.conj().T
-            states.append(rho / np.trace(rho).real)
-        assert np.isclose(fidelity(states[0], states[1]), fidelity(states[1], states[0]))
-
 
 class TestHaar:
     def test_first_moment(self):
@@ -173,9 +152,10 @@ class TestHaar:
         assert np.isclose(np.linalg.norm(haar_pure(7, 321)), 1.0, atol=1e-12)
 
     def test_haar_unitary_is_unitary(self):
-        u = haar_unitary(4, 11)
+        # a square Haar isometry is unitary: its rows are orthonormal as well as its columns
+        u = haar_isometry(4, 4, 11)
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-        assert np.array_equal(u, haar_isometry(4, 4, 11))
+        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
     def test_haar_isometry_is_isometry(self):
         v = haar_isometry(6, 3, 12)
@@ -214,20 +194,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             Tolerances(tol_psd=1e-2)
 
-    def test_density_matrix_ok(self):
-        assert_density_matrix(np.diag([0.5, 0.5]))
+    def test_tolerance_fields(self):
+        assert list(vars(Tolerances())) == ["tol_herm", "tol_psd", "tol_eq", "tol_sum"]
 
-    def test_density_matrix_rejects(self):
-        with pytest.raises(ValueError):
-            assert_density_matrix(np.diag([1.5, -0.5]))
-        with pytest.raises(ValueError):
-            assert_density_matrix(np.array([[0.5, 0.2], [0.1, 0.5]]))
 
-    def test_pure_state_validator(self):
-        from noetherlab.numkit import assert_pure_state
+def _names_read(node):
+    """Every identifier a syntax tree reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
-        assert_pure_state(haar_pure(4, 0))
-        with pytest.raises(ValueError):
-            assert_pure_state(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            assert_pure_state(np.eye(2))
+
+def test_every_export_is_used():
+    # an export is used when another package module imports it, or when the
+    # numkit definition of a used name reads it
+    package = Path(numkit.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "numkit.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "numkit":
+                    used |= {alias.name for alias in node.names}
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "numkit"):
+                    used.add(node.attr)
+    definitions = {}
+    for stmt in ast.parse(Path(numkit.__file__).read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            definitions[stmt.name] = stmt
+        elif isinstance(stmt, ast.Assign):
+            definitions.update({t.id: stmt for t in stmt.targets if isinstance(t, ast.Name)})
+    pending = list(used)
+    while pending:
+        for name in _names_read(definitions.get(pending.pop(), ast.Pass())) - used:
+            used.add(name)
+            pending.append(name)
+    assert [name for name in numkit.__all__ if name not in used] == []

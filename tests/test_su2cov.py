@@ -13,7 +13,7 @@ from noetherlab.chan import (
     random_channel,
     unitary_channel,
 )
-from noetherlab.numkit import dagger, haar_pure, haar_unitary
+from noetherlab.numkit import dagger, haar_isometry, haar_pure
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -162,7 +162,7 @@ class TestSimplexGeometry:
         assert np.allclose(w, [0.3, 0.0, 0.7], atol=1e-10)
 
     def test_decompose_rejects_non_covariant(self):
-        u = haar_unitary(2, 5)
+        u = haar_isometry(2, 2, 5)
         with pytest.raises(ValueError, match="residual"):
             decompose(unitary_channel(u), SpinJ(1), SpinJ(1))
 
@@ -205,7 +205,7 @@ class TestTwirl:
 
     def test_idempotent(self):
         s = SpinJ(1)
-        e = unitary_channel(haar_unitary(2, 6))
+        e = unitary_channel(haar_isometry(2, 2, 6))
         t1 = twirl(e, s, s)
         assert max_action_deviation(twirl(t1, s, s), t1) < 1e-10
 
@@ -226,7 +226,7 @@ class TestTwirl:
         from noetherlab.su2rep import random_rotation_vector, rotation_unitary
 
         s = SpinJ(1)
-        e = unitary_channel(haar_unitary(2, 7))
+        e = unitary_channel(haar_isometry(2, 2, 7))
         t_in = ito_basis(s).family(2)
         exact = np.mean([
             np.trace(dagger(t) @ twirl(e, s, s).apply(t)).real for t in t_in

@@ -43,7 +43,7 @@ def test_no_public_callable_takes_a_tolerance():
 def test_the_scan_sees_methods_and_constructors():
     seen = dict(_public_callables())
     for where in ("chan.QuantumChannel.__init__", "chan.QuantumChannel.from_json_dict",
-                  "bounds.BoundCheck.of", "mcoracle.McEstimate.within", "numkit.is_psd",
+                  "bounds.BoundCheck.of", "mcoracle.McEstimate.within", "numkit.is_hermitian",
                   "bounds.BoundCheck.__init__", "cli.TradeoffSweep.__init__"):
         assert where in seen
 

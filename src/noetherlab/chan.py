@@ -198,11 +198,13 @@ class QuantumChannel:
         def as_list(x):  # a non-list is read as its own only element, which the entry check names
             return x if isinstance(x, list) else [x]
 
-        def dec(m):
+        def dec(m, what="matrix"):
             for z in (z for row in as_list(m) for z in as_list(row)):
                 if not (isinstance(z, list) and len(z) == 2 and all(
                         isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)):
                     raise ValueError(f"channel entry {z!r} is not a [re, im] pair of numbers")
+            for i in (i for i, row in enumerate(m) if len(row) != len(m[0])):
+                raise ValueError(f"channel {what} row {i} has {len(m[i])} entries, not {len(m[0])}")
             return np.array([[complex(re, im) for re, im in row] for row in m])
 
         if not isinstance(obj, dict):
@@ -215,7 +217,8 @@ class QuantumChannel:
             raise ValueError(f"channel d_in={d_in!r}, d_out={d_out!r} must be positive integers")
         if rep not in ("kraus", "liouville", "jamiolkowski"):
             raise ValueError(f"unknown representation {rep!r}")
-        data = [dec(k) for k in as_list(data)] if rep == "kraus" else dec(data)
+        data = ([dec(k, f"Kraus operator {i}") for i, k in enumerate(as_list(data))]
+                if rep == "kraus" else dec(data))
         return cls(d_in, d_out, **{rep: data})
 
     def save_json(self, path, representation: str = "kraus") -> None:

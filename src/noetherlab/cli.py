@@ -7,10 +7,9 @@ Sweep rows are emitted in deterministic parameter order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -80,17 +79,17 @@ class TradeoffSweep:
         """Per point: whether every bound holds."""
         return np.logical_and.reduce([check.satisfied for check in self.checks])
 
-    def rows(self):
-        """The CSV rows: parameter values, then the ``_CSV_TAIL`` columns in order."""
-        columns = (*self.params.values(), self.delta, np.sqrt(self.delta), self.unitarity,
-                   1.0 - self.unitarity, self.bound_lower, self.bound_upper, self.ok)
-        return zip(*(c.tolist() for c in columns))
+    def columns(self) -> dict:
+        """Every output column by name in CSV order: the params, then ``_CSV_TAIL``."""
+        tail = (self.delta, np.sqrt(self.delta), self.unitarity, 1.0 - self.unitarity,
+                self.bound_lower, self.bound_upper, self.ok)
+        return {**self.params, **dict(zip(_CSV_TAIL, tail))}
 
     def records(self) -> list[dict]:
         """The JSON records of ``docs/tradeoff_record.schema.json``, one per point."""
         k = len(self.params)
         return [{"params": dict(zip(self.params, row[:k])), **dict(zip(_CSV_TAIL, row[k:]))}
-                for row in self.rows()]
+                for row in zip(*(c.tolist() for c in self.columns().values()))]
 
     def near_miss_lines(self) -> list[str]:
         """Per bound: the smallest slack, the params where it occurs, and how
@@ -143,15 +142,33 @@ def u1_tradeoff_records(levels, grid: float) -> TradeoffSweep:
     return TradeoffSweep(params, delta, u, np.zeros(len(u)), cap.rhs, (cap,))
 
 
+def _tokens(column: np.ndarray, fmt: str, pre: str) -> list[str]:
+    """``pre + token`` per entry, formatting each distinct value once as its CSV (``str``) or
+    JSON (``json.dumps``) token; distinct means distinct bits, so -0.0 is not 0.0."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
+    # one json.dumps call for all: no number or label token holds ", " or needs CSV quoting
+    tokens = json.dumps(values)[1:-1].split(", ") if fmt == "json" else map(str, values)
+    return np.array([pre + t for t in tokens], dtype=object)[inverse].tolist()
+
+
 def _write_records(sweep: TradeoffSweep, fmt: str, out_path: str | None) -> None:
+    """Write what ``csv.writer`` or ``json.dumps(records(), indent=1, sort_keys=True)`` would."""
+    columns = sweep.columns()
     if fmt == "json":
-        text = json.dumps(sweep.records(), indent=1, sort_keys=True) + "\n"
+        # json.dumps lays out two records of "<name>" placeholders; split there, the
+        # second gives the key order and the text before each value, the first the head
+        rec = {"params": {n: f"<{n}>" for n in sweep.params}, **{n: f"<{n}>" for n in _CSV_TAIL}}
+        parts = re.split(r'"<(\w+)>"', json.dumps([rec, rec], indent=1, sort_keys=True) + "\n")
+        half = len(parts) // 2
+        head, pres, names, foot = parts[0], parts[half:-1:2], parts[half + 1::2], parts[-1]
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([*sweep.params, *_CSV_TAIL])
-        writer.writerows(sweep.rows())
-        text = buf.getvalue()
+        names, foot = list(columns), "\r\n"
+        head, pres = ",".join(names) + foot, [foot, *[","] * (len(names) - 1)]
+    cells = [_tokens(columns[n], fmt, pre) for pre, n in zip(pres, names)]
+    cells[0][0] = head + cells[0][0][len(pres[0]):]  # the head in place of a row break
+    text = "".join(chain.from_iterable(zip(*cells))) + foot
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)

@@ -298,6 +298,18 @@ class TestChannelFile:
         with pytest.raises(ValueError, match=message):
             QuantumChannel.load_json(path)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"d_in": 2, "d_out": 2, "repr": "liouville", "data": [[[1, 0]], [[1, 0], [0, 0]]]},
+         "channel matrix row 1 has 2 entries, not 1"),
+        ({"d_in": 2, "d_out": 2, "repr": "kraus",
+          "data": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0]]]]},
+         "channel Kraus operator 1 row 1 has 1 entries, not 2"),
+    ], ids=["matrix", "kraus"])
+    def test_ragged_row_is_named_on_one_line(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            QuantumChannel.from_json_dict(obj)
+        assert str(err.value) == message
+
     def test_non_object_is_a_value_error(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             QuantumChannel.from_json_dict([])

@@ -110,7 +110,7 @@ class QuantumChannel:
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        marginal = partial_trace(j, self.d_out, self.d_in, keep="A")
+        marginal = partial_trace(j, self.d_out, self.d_in)
         self.tp_residual = float(np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in)))
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(

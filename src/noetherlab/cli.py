@@ -22,7 +22,7 @@ from . import metrics
 from . import su2cov
 from . import u1cov
 from .chan import ChannelValidationError, QuantumChannel, max_action_deviation, random_channel
-from .numkit import TOL, haar_pure, parallel_map
+from .numkit import TOL, haar_pure_batch, parallel_map
 from .su2rep import SpinJ
 
 __all__ = ["MAX_SWEEP_CELLS", "TradeoffSweep", "main", "simplex_grid", "su2_tradeoff_records",
@@ -281,7 +281,7 @@ def _check_conservation_split(rng: np.random.Generator) -> dict:
         comp = ch.complementary()
         envs = su2cov.environment_spin_generators(two_l)
         for _ in range(5):
-            v = haar_pure(spin.dim, rng)
+            v = haar_pure_batch(spin.dim, 1, rng)[0]
             rho = np.outer(v, v.conj())
             p_in = su2cov.spin_polarization(rho, spin)
             p_out = su2cov.spin_polarization(ch.apply(rho), spin)
@@ -351,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     u1_sub = u1.add_subparsers(dest="command", required=True)
 
     ut = u1_sub.add_parser("tradeoff", help="population-grid sweep with optimal unitarity")
-    ut.add_argument("--levels", required=True)
+    ut.add_argument("--levels", required=True,
+                    help="comma-separated integers; a negative first one needs --levels=-3,12")
     ut.add_argument("--grid", type=float, required=True)
     ut.add_argument("--out", default=None)
     ut.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -392,8 +393,7 @@ def _cmd_su2_tradeoff(args) -> int:
 
 
 def _cmd_su2_kappa(args) -> int:
-    report = su2cov.kappa_extrema(SpinJ(args.two_jA), SpinJ(args.two_jB))
-    print(json.dumps(report.as_dict(), sort_keys=True))
+    print(json.dumps(su2cov.kappa_extrema(SpinJ(args.two_jA), SpinJ(args.two_jB)), sort_keys=True))
     return 0
 
 

@@ -80,12 +80,15 @@ def unitarity_dim(channel: QuantumChannel) -> int:
     return channel.d_in
 
 
+def _unitarity(channel: QuantumChannel, gamma: float) -> float:
+    """d/(d^2 - 1) (d gamma - tr E(I/d)^2), for gamma = tr J^2 = tr E_c(I/d)^2."""
+    d = unitarity_dim(channel)
+    return d / (d * d - 1) * (d * gamma - purity(channel.apply(np.eye(d) / d)))
+
+
 def unitarity_jamiolkowski(channel: QuantumChannel) -> float:
     """Unitarity from the purity of the Jamiolkowski state."""
-    d = unitarity_dim(channel)
-    gamma_j = purity(channel.jamiolkowski)
-    gamma_mix = purity(channel.apply(np.eye(d) / d))
-    return d / (d * d - 1) * (d * gamma_j - gamma_mix)
+    return _unitarity(channel, purity(channel.jamiolkowski))
 
 
 def unitarity_complementary(channel: QuantumChannel) -> float:
@@ -95,11 +98,8 @@ def unitarity_complementary(channel: QuantumChannel) -> float:
     sum_{o,i} K_e[o, i] conj(K_f[o, i]) / d, so the complementary channel
     itself is never built.
     """
-    d = unitarity_dim(channel)
     ks = np.stack(channel.kraus).reshape(channel.kraus_rank, -1)
-    gamma_comp = purity(ks @ ks.conj().T / d)
-    gamma_out = purity(channel.apply(np.eye(d) / d))
-    return d / (d * d - 1) * (d * gamma_comp - gamma_out)
+    return _unitarity(channel, purity(ks @ ks.conj().T / channel.d_in))
 
 
 def su2_closed_forms(weights, spin_in: SpinJ, spin_out: SpinJ) -> tuple:

@@ -25,7 +25,6 @@ __all__ = [
     "purity",
     "is_hermitian",
     "as_rng",
-    "haar_pure",
     "haar_pure_batch",
     "haar_isometry",
     "ginibre",
@@ -84,21 +83,12 @@ def reshuffle(m: np.ndarray, d_b: int, d_a: int) -> np.ndarray:
     return m.reshape(d_b, d_b, d_a, d_a).transpose(0, 2, 1, 3).reshape(d_b * d_a, d_b * d_a)
 
 
-def partial_trace(m: np.ndarray, d_b: int, d_a: int, keep: str) -> np.ndarray:
-    """Partial trace of an operator on ``H_B (x) H_A``.
-
-    ``keep="B"`` traces out A and returns a d_b x d_b matrix; ``keep="A"``
-    traces out B.  The total trace is preserved.
-    """
+def partial_trace(m: np.ndarray, d_b: int, d_a: int) -> np.ndarray:
+    """tr_B of an operator on ``H_B (x) H_A``: a d_a x d_a matrix with the same trace."""
     m = np.asarray(m)
     if m.shape != (d_b * d_a, d_b * d_a):
         raise ValueError(f"expected shape {(d_b * d_a, d_b * d_a)}, got {m.shape}")
-    t = m.reshape(d_b, d_a, d_b, d_a)
-    if keep == "B":
-        return np.einsum("iaja->ij", t)
-    if keep == "A":
-        return np.einsum("iaib->ab", t)
-    raise ValueError("keep must be 'B' or 'A'")
+    return np.einsum("iaib->ab", m.reshape(d_b, d_a, d_b, d_a))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -118,17 +108,9 @@ def as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.rando
     return np.random.default_rng(seed)
 
 
-def haar_pure(d: int, seed) -> np.ndarray:
-    """A Haar-random pure state vector of dimension d (unit norm)."""
-    rng = as_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def haar_pure_batch(d: int, n: int, seed) -> np.ndarray:
     """n Haar-random pure states as rows of an (n, d) array."""
-    rng = as_rng(seed)
-    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v = ginibre(n, d, seed)
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

@@ -25,7 +25,6 @@ from .su2rep import (ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, s
 __all__ = [
     "CovariantMixture",
     "check_weights",
-    "KappaReport",
     "coupled_labels",
     "irrep_projector",
     "extremal_channel",
@@ -88,24 +87,6 @@ class CovariantMixture:
     def pure(cls, spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> "CovariantMixture":
         labels = coupled_labels(spin_in, spin_out)
         return cls(spin_in, spin_out, tuple(1.0 if l == two_l else 0.0 for l in labels))
-
-
-@dataclass(frozen=True)
-class KappaReport:
-    """Extremal spin-polarization scaling factors and the channels reaching them."""
-
-    kappa_minus: float
-    kappa_plus: float
-    two_l_minus: int
-    two_l_plus: int
-
-    def as_dict(self) -> dict:
-        return {
-            "kappa_minus": self.kappa_minus,
-            "kappa_plus": self.kappa_plus,
-            "two_L_minus": self.two_l_minus,
-            "two_L_plus": self.two_l_plus,
-        }
 
 
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
@@ -230,8 +211,9 @@ def polarization_factor(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
     return float(exact)
 
 
-def kappa_extrema(spin_in: SpinJ, spin_out: SpinJ) -> KappaReport:
-    """Smallest and largest polarization factors over the extremal channels.
+def kappa_extrema(spin_in: SpinJ, spin_out: SpinJ) -> dict:
+    """Smallest and largest polarization factors over the extremal channels and
+    their labels: ``kappa_minus``, ``kappa_plus``, ``two_L_minus``, ``two_L_plus``.
 
     The minimum sits at L = j_in + j_out (the most inverted spin) and the
     maximum at L = |j_in - j_out|; amplification (kappa > 1) occurs only
@@ -241,8 +223,8 @@ def kappa_extrema(spin_in: SpinJ, spin_out: SpinJ) -> KappaReport:
     kappas = {two_l: polarization_factor(spin_in, spin_out, two_l) for two_l in labels}
     lo = min(kappas, key=kappas.get)
     hi = max(kappas, key=kappas.get)
-    return KappaReport(kappa_minus=kappas[lo], kappa_plus=kappas[hi],
-                       two_l_minus=lo, two_l_plus=hi)
+    return {"kappa_minus": kappas[lo], "kappa_plus": kappas[hi], "two_L_minus": lo,
+            "two_L_plus": hi}
 
 
 def time_reversal_fidelity(spin: SpinJ) -> float:

@@ -167,18 +167,18 @@ def spin_norm(spin: SpinJ) -> float:
     return float(np.sqrt(j * (j + 1) * (2 * j + 1)))
 
 
+def _ladder(d: int) -> np.ndarray:
+    """<m+1|J_+|m> = sqrt(i (d - i)) for |m> at index i = 0 .. d of the descending m's."""
+    i = np.arange(d + 1)
+    return np.sqrt(i * (d - i))
+
+
 @lru_cache(maxsize=32)
 def spin_operators(spin: SpinJ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only angular momentum matrices (Jx, Jy, Jz) in the descending-m basis."""
-    d = spin.dim
-    j = spin.j
-    m = np.array([tm / 2 for tm in spin.m_values()])
-    jz = np.diag(m).astype(complex)
-    jp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        # raising operator connects |j, m> (index i) to |j, m+1> (index i-1)
-        mm = m[i]
-        jp[i - 1, i] = np.sqrt(j * (j + 1) - mm * (mm + 1))
+    jz = np.diag([tm / 2 for tm in spin.m_values()]).astype(complex)
+    # the raising operator connects |j, m> (index i) to |j, m+1> (index i-1)
+    jp = np.diag(_ladder(spin.dim)[1:-1], 1).astype(complex)
     jm = dagger(jp)
     jx = (jp + jm) / 2
     jy = (jp - jm) / (2 * 1j)
@@ -232,12 +232,12 @@ def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
     spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
     labels = tuple(coupled_labels(spin_in, spin_out))
     blocks, z = [], np.zeros((spin_out.dim + 1, 0))  # z: block M+1 at row r + 1, zero-padded
+    up_out, up_in = _ladder(spin_out.dim), _ladder(spin_in.dim)
     for two_m in range(labels[-1], -labels[-1] - 2, -2):
         k = (two_m - two_j_out + two_j_in) // 2  # m_r - m_c = M on the entries (r, r + k)
         rows = np.arange(max(0, -k), min(spin_out.dim, spin_in.dim - k))
         cols = rows + k
-        # <m+1|J_+|m> at index i of the descending m's is sqrt(i (d - i))
-        a_out, a_in = np.sqrt(rows * (spin_out.dim - rows)), np.sqrt(cols * (spin_in.dim - cols))
+        a_out, a_in = up_out[rows], up_in[cols]
         # sum_k [J_k, [J_k, .]] on the diagonal: tridiagonal, eigenvalues L(L+1), L ascending
         diag = (two_j_in * (two_j_in + 2) + two_j_out * (two_j_out + 2)
                 - 2 * (two_j_out - 2 * rows) * (two_j_in - 2 * cols)) / 4
@@ -245,7 +245,7 @@ def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
         v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[1]
         # T_{L,M} has overlap sqrt((L+M+1)(L-M)) >= 1 with [J_-, T_{L,M+1}]: only a sign travels
         lowered = (a_out[:, None] * z[rows]
-                   - np.sqrt((cols + 1) * (spin_in.dim - cols - 1))[:, None] * z[rows + 1])
+                   - up_in[cols + 1][:, None] * z[rows + 1])
         n = min(len(rows), z.shape[1])
         sign = np.sign(np.sum(v[:, len(rows) - n:] * lowered[:, z.shape[1] - n:], axis=0))
         if len(rows) > n:  # T_{M,M} opens the block; its entries share one sign

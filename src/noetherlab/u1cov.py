@@ -117,14 +117,10 @@ class U1BlockChannel(QuantumChannel):
     """
 
     def __init__(self, spectrum: EnergySpectrum, jamiolkowski):
-        j = np.asarray(jamiolkowski, dtype=complex)  # copied once by QuantumChannel
-        n = spectrum.d ** 2
-        if j.shape != (n, n):
-            raise ValueError(f"Jamiolkowski state must be {n} x {n}, got shape {j.shape}")
-        if np.any(j[~_same_label(spectrum)]):
+        super().__init__(spectrum.d, spectrum.d, jamiolkowski=jamiolkowski)
+        if np.any(self.jamiolkowski[~_same_label(spectrum)]):
             raise ValueError("Jamiolkowski state couples pairs with different Bohr frequencies")
         self.spectrum = spectrum
-        super().__init__(spectrum.d, spectrum.d, jamiolkowski=j)
 
     def population_matrix(self) -> np.ndarray:
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""

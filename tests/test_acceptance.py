@@ -75,8 +75,8 @@ def test_criterion_03_amplification_branches():
             ja, jb = two_ja / 2, two_jb / 2
             expect = jb / ja if two_ja >= two_jb else (jb + 1) / (ja + 1)
             rep = kappa_extrema(SpinJ(two_ja), SpinJ(two_jb))
-            worst = max(worst, abs(rep.kappa_plus - expect))
-            ok = ok and rep.two_l_plus == abs(two_ja - two_jb)
+            worst = max(worst, abs(rep["kappa_plus"] - expect))
+            ok = ok and rep["two_L_plus"] == abs(two_ja - two_jb)
     elapsed = time.monotonic() - t0
     report(3, ok and worst < 1e-12 and elapsed < 10.0,
            f"both branches at L=|jA-jB| within {worst:.2e}, {elapsed:.2f}s")

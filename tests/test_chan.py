@@ -171,6 +171,31 @@ class TestValidation:
         with pytest.raises(ChannelValidationError, match="non-finite"):
             QuantumChannel(2, 2, jamiolkowski=j)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: QuantumChannel(2, 2), "provide exactly one representation"),
+        (lambda: QuantumChannel(2, 2, kraus=[np.eye(2)], liouville=np.eye(4)),
+         "provide exactly one representation"),
+        (lambda: QuantumChannel(2, 2, stinespring=np.ones((3, 2))),
+         r"Stinespring isometry must be \(d_out \* d_env\) x d_in"),
+        (lambda: QuantumChannel(2, 2, kraus=[np.eye(3)]), "Kraus operators must be d_out x d_in"),
+        (lambda: QuantumChannel(2, 2, kraus=[]), "Kraus operators must be d_out x d_in"),
+        (lambda: QuantumChannel(2, 2, liouville=np.eye(3)), "Liouville matrix must be 4 x 4"),
+        (lambda: QuantumChannel(2, 2, jamiolkowski=np.eye(3) / 3),
+         "Jamiolkowski state must be 4 x 4"),
+        (lambda: QuantumChannel(2, 2, jamiolkowski=np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1)),
+         r"Jamiolkowski state not Hermitian \(residual 1.00e\+00\)"),
+        (lambda: identity_channel(2).apply(np.eye(3)), "state must be 2 x 2"),
+        (lambda: identity_channel(2).apply_adjoint(np.eye(3)), "observable must be 2 x 2"),
+        (lambda: identity_channel(2).to_json_dict("choi"), "unknown representation 'choi'"),
+        (lambda: random_channel(4, 1, 3, 0), r"need d_out \* kraus_rank >= d_in"),
+    ], ids=["no_form", "two_forms", "stinespring_shape", "kraus_shape", "no_kraus",
+            "liouville_shape", "jamiolkowski_shape", "non_hermitian", "apply_shape",
+            "apply_adjoint_shape", "to_json_representation", "random_channel_rank"])
+    def test_malformed_input_is_a_one_line_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert "\n" not in str(err.value)
+
     def test_apply_output_is_density_matrix(self):
         rng = np.random.default_rng(3)
         e = random_channel(3, 4, 2, rng)
@@ -288,8 +313,9 @@ class TestChannelFile:
         ({"data": [[[[1, 0], [0, 0, 0]]]]}, r"entry \[0, 0, 0\]"),
         ({"d_in": True, "d_out": 1, "data": [[[[1.0, 0.0]]]]}, "d_in=True"),
         ({"d_out": 2.0}, "d_out=2.0"),
+        ({"repr": "choi"}, "unknown representation 'choi'"),
     ], ids=["no_repr", "no_data", "int_liouville", "int_kraus", "kraus_of_numbers",
-            "string_entry", "triple_entry", "bool_d_in", "float_d_out"])
+            "string_entry", "triple_entry", "bool_d_in", "float_d_out", "unknown_repr"])
     def test_malformed_file_is_a_value_error(self, tmp_path, changes, message):
         obj = {**identity_channel(2).to_json_dict("kraus"), **changes}
         obj = {key: value for key, value in obj.items() if value is not None}

@@ -157,6 +157,13 @@ class TestU1Tradeoff:
     def test_grid_not_one_over_n_exit_2(self):
         assert_usage_error(*run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.3"))
 
+    def test_help_names_the_negative_levels_form(self, capsys):
+        # argparse reads a bare "-3,12" as an option, so "--levels -3,12" exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["u1", "tradeoff", "--help"])
+        assert exc.value.code == 0
+        assert "--levels=-3,12" in capsys.readouterr().out
+
     def test_cli_runs_clean(self, tmp_path):
         out = tmp_path / "u1.csv"
         code, _, err = run_cli("u1", "tradeoff", "--levels", "0,1", "--grid", "0.1",
@@ -371,6 +378,8 @@ class TestMainEntry:
         ("u1 tradeoff --levels 1,0 --grid 0.5",
          "levels must be two or more strictly increasing integers"),
         ("u1 tradeoff --levels a,1 --grid 0.5", "invalid literal for int() with base 10: 'a'"),
+        ("u1 tradeoff --levels 0,1,2 --grid 0.5",
+         "the population-grid sweep is defined for two-level spectra"),
         ("su2 kappa --two-jA 0 --two-jB 1", "polarization scaling needs both spins nonzero"),
         ("su2 channel --two-jA 1 --two-jB 1 --two-L 9", "two_l=9 outside the admissible ladder"),
         ("verify all --samples 5", "need --seed >= 0 and --samples >= 100"),

@@ -1,6 +1,7 @@
 """The CLI against the golden corpus in tests/golden/ (regenerate it with
-``python tests/golden/regenerate.py``). Text tokens and exit codes must match
-exactly, numbers to 1e-12, since the installed numpy may round differently."""
+``python tests/golden/regenerate.py``): stdout, stderr and any ``--out`` file.
+Text tokens and exit codes must match exactly, numbers to 1e-12, since the
+installed numpy may round differently."""
 
 import json
 import lzma
@@ -30,14 +31,22 @@ def token_mismatch(got: str, expected: str) -> str | None:
     return None
 
 
+def golden_xz(file_name: str) -> str:
+    return lzma.decompress((GOLDEN / file_name).read_bytes()).decode()
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_matches_golden(capsys, name):
+def test_matches_golden(capsys, tmp_path, name):
     case = CASES[name]
-    assert main(case["argv"]) == case["exit_code"]
+    out_path = tmp_path / "out"
+    argv = [a.replace("<golden>", str(GOLDEN)).replace("<out>", str(out_path))
+            for a in case["argv"]]
+    assert main(argv) == case["exit_code"]
     out, err = capsys.readouterr()
-    assert token_mismatch(out, lzma.decompress(
-        (GOLDEN / f"{name}.stdout.xz").read_bytes()).decode()) is None
+    assert token_mismatch(out, golden_xz(f"{name}.stdout.xz")) is None
     assert token_mismatch(err, (GOLDEN / f"{name}.stderr").read_text()) is None
+    if "<out>" in case["argv"]:
+        assert token_mismatch(out_path.read_text(), golden_xz(f"{name}.out.xz")) is None
 
 
 @pytest.mark.parametrize("got, expected, differs", [

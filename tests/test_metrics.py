@@ -209,6 +209,19 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet(j_in=(np.eye(2),), j_out=(np.eye(2),))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: GeneratorSet(j_in=su2_generators(SpinJ(1)).j_in, j_out=()),
+         "generator lists must have equal length"),
+        (lambda: delta_generators(identity_channel(2), su2_generators(SpinJ(2), SpinJ(1))),
+         "input generator dimension mismatch"),
+        (lambda: delta_generators(identity_channel(2), su2_generators(SpinJ(1), SpinJ(2))),
+         "output generator dimension mismatch"),
+    ], ids=["unequal_length", "input_dimension", "output_dimension"])
+    def test_mismatched_generators_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert "\n" not in str(err.value)
+
     def test_u1_traceless_shift(self):
         gens = u1_generators((0, 1, 5))
         assert abs(np.trace(gens.j_in[0])) < 1e-12

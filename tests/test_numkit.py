@@ -11,7 +11,6 @@ from noetherlab.numkit import (
     Tolerances,
     ginibre,
     haar_isometry,
-    haar_pure,
     haar_pure_batch,
     mat_exp_skew_hermitian,
     partial_trace,
@@ -86,35 +85,37 @@ class TestPartialTrace:
         omega = np.zeros(4)
         omega[[0, 3]] = 1 / np.sqrt(2)
         proj = np.outer(omega, omega)
-        assert np.allclose(partial_trace(proj, 2, 2, keep="A"), np.eye(2) / 2)
-        assert np.allclose(partial_trace(proj, 2, 2, keep="B"), np.eye(2) / 2)
+        assert np.allclose(partial_trace(proj, 2, 2), np.eye(2) / 2)
 
     def test_product(self):
         rng = np.random.default_rng(2)
         a = rand_complex(rng, 2, 2)
         b = rand_complex(rng, 3, 3)
         m = np.kron(a, b)
-        assert np.allclose(partial_trace(m, 2, 3, keep="B"), a * np.trace(b))
-        assert np.allclose(partial_trace(m, 2, 3, keep="A"), b * np.trace(a))
+        assert np.allclose(partial_trace(m, 2, 3), b * np.trace(a))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_trace_preserved(self, seed):
         rng = np.random.default_rng(seed)
         m = rand_complex(rng, 6, 6)
-        assert np.isclose(np.trace(partial_trace(m, 2, 3, keep="A")), np.trace(m))
+        assert np.isclose(np.trace(partial_trace(m, 2, 3)), np.trace(m))
+
+    def test_shape_check(self):
+        with pytest.raises(ValueError, match=r"expected shape \(6, 6\), got \(4, 4\)"):
+            partial_trace(np.eye(4), 2, 3)
 
     def test_marginal_of_extremal_channel_state(self):
         from noetherlab.su2cov import extremal_channel
         from noetherlab.su2rep import SpinJ
 
         j = extremal_channel(SpinJ(1), SpinJ(1), 2).jamiolkowski
-        assert np.allclose(partial_trace(j, 2, 2, keep="A"), np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(partial_trace(j, 2, 2), np.eye(2) / 2, atol=1e-12)
 
 
 class TestPurityFidelity:
     def test_pure_state_purity(self):
-        v = haar_pure(4, 3)
+        v = haar_pure_batch(4, 1, 3)[0]
         assert np.isclose(purity(np.outer(v, v.conj())), 1.0)
 
     def test_maximally_mixed(self):
@@ -146,10 +147,10 @@ class TestHaar:
         assert np.max(np.abs(second - exact)) < 3.0 / np.sqrt(n)
 
     def test_seed_determinism(self):
-        assert np.array_equal(haar_pure(5, 123), haar_pure(5, 123))
+        assert np.array_equal(haar_pure_batch(5, 1, 123)[0], haar_pure_batch(5, 1, 123)[0])
 
     def test_unit_norm(self):
-        assert np.isclose(np.linalg.norm(haar_pure(7, 321)), 1.0, atol=1e-12)
+        assert np.isclose(np.linalg.norm(haar_pure_batch(7, 1, 321)[0]), 1.0, atol=1e-12)
 
     def test_haar_unitary_is_unitary(self):
         # a square Haar isometry is unitary: its rows are orthonormal as well as its columns

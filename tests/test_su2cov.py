@@ -13,7 +13,7 @@ from noetherlab.chan import (
     random_channel,
     unitary_channel,
 )
-from noetherlab.numkit import dagger, haar_isometry, haar_pure
+from noetherlab.numkit import dagger, haar_isometry, haar_pure_batch
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -350,6 +350,12 @@ class TestScalingCoefficients:
         assert abs(scaling_coefficient(1, 1, 2, 2) + 1 / 3) < 1e-12
         assert abs(scaling_coefficient(2, 2, 4, 2) + 1 / 2) < 1e-12
 
+    @pytest.mark.parametrize("two_j_in, two_j_out, two_l", [(2, 2, 1), (2, 1, 4), (1, 3, 4)],
+                             ids=["odd", "above_output_spin", "above_input_spin"])
+    def test_sector_label_outside_the_range(self, two_j_in, two_j_out, two_l):
+        with pytest.raises(ValueError, match=r"tensor sector label must be an integer <= 2 min"):
+            scaling_coefficient(two_j_in, two_j_out, abs(two_j_in - two_j_out), two_l)
+
     def test_matches_channel_action_all_sectors(self):
         for (a, b) in [(2, 2), (1, 3), (3, 1), (3, 3)]:
             sa, sb = SpinJ(a), SpinJ(b)
@@ -404,7 +410,7 @@ class TestPolarization:
             e = covariant_channel(mix)
             kappa = float(scaling_vector(mix)[1]) * spin_norm(sb) / spin_norm(sa)
             for _ in range(4):
-                v = haar_pure(sa.dim, rng)
+                v = haar_pure_batch(sa.dim, 1, rng)[0]
                 rho = np.outer(v, v.conj())
                 p_in = spin_polarization(rho, sa)
                 p_out = spin_polarization(e.apply(rho), sb)
@@ -412,11 +418,11 @@ class TestPolarization:
 
     def test_kappa_examples(self):
         r = kappa_extrema(SpinJ(1), SpinJ(1))
-        assert abs(r.kappa_minus + 1 / 3) < 1e-12 and r.two_l_minus == 2
+        assert abs(r["kappa_minus"] + 1 / 3) < 1e-12 and r["two_L_minus"] == 2
         r = kappa_extrema(SpinJ(1), SpinJ(2))
-        assert abs(r.kappa_plus - 4 / 3) < 1e-12 and r.two_l_plus == 1
+        assert abs(r["kappa_plus"] - 4 / 3) < 1e-12 and r["two_L_plus"] == 1
         r = kappa_extrema(SpinJ(2), SpinJ(1))
-        assert abs(r.kappa_plus - 1 / 2) < 1e-12 and r.two_l_plus == 1
+        assert abs(r["kappa_plus"] - 1 / 2) < 1e-12 and r["two_L_plus"] == 1
 
     @pytest.mark.parametrize("call", [
         lambda: polarization_factor(SpinJ(0), SpinJ(2), 2),
@@ -432,15 +438,15 @@ class TestPolarization:
         for a in range(1, 9):
             for b in range(1, 9):
                 r = kappa_extrema(SpinJ(a), SpinJ(b))
-                assert r.two_l_minus == a + b
-                assert r.two_l_plus == abs(a - b)
+                assert r["two_L_minus"] == a + b
+                assert r["two_L_plus"] == abs(a - b)
 
     def test_amplification_branches(self):
         for a in range(1, 9):
             for b in range(1, 9):
                 ja, jb = a / 2, b / 2
                 expect = jb / ja if a >= b else (jb + 1) / (ja + 1)
-                assert abs(kappa_extrema(SpinJ(a), SpinJ(b)).kappa_plus - expect) < 1e-12
+                assert abs(kappa_extrema(SpinJ(a), SpinJ(b))["kappa_plus"] - expect) < 1e-12
 
     def test_inversion_complementarity(self):
         # kappa of a channel and of its environment side sum to one
@@ -463,7 +469,7 @@ class TestConservationSplit:
                               kraus=extremal_kraus(spin, spin, two_l)).complementary()
         envs = environment_spin_generators(two_l)
         for _ in range(20):
-            v = haar_pure(spin.dim, rng)
+            v = haar_pure_batch(spin.dim, 1, rng)[0]
             rho = np.outer(v, v.conj())
             p_in = spin_polarization(rho, spin)
             p_out = spin_polarization(e.apply(rho), spin)
@@ -485,6 +491,10 @@ class TestTimeReversal:
             rho[0, 0] = 1.0  # |j, j>
             direct = float(np.real(e.apply(rho)[-1, -1]))
             assert abs(direct - time_reversal_fidelity(s)) < 1e-10
+
+    def test_spin_zero_is_refused(self):
+        with pytest.raises(ValueError, match="needs two_j >= 1"):
+            time_reversal_fidelity(SpinJ(0))
 
     def test_monotone_decreasing_to_half(self):
         values = [time_reversal_fidelity(SpinJ(tj)) for tj in range(1, 41)]

@@ -197,6 +197,10 @@ class TestSpinOperators:
             assert np.allclose(jx @ jx + jy @ jy + jz @ jz, j * (j + 1) * np.eye(s.dim))
             assert np.isclose(np.trace(jz @ jz).real, j * (j + 1) * (2 * j + 1) / 3)
 
+    def test_negative_spin_is_refused(self):
+        with pytest.raises(ValueError, match="two_j must be nonnegative"):
+            SpinJ(-1)
+
     def test_spin1_eigenvalues(self):
         jz = spin_operators(SpinJ(2))[2]
         assert np.allclose(np.diag(jz), [1.0, 0.0, -1.0])

@@ -22,6 +22,7 @@ __all__ = [
     "unvectorize",
     "reshuffle",
     "partial_trace",
+    "pair_labels",
     "purity",
     "is_hermitian",
     "as_rng",
@@ -89,6 +90,11 @@ def partial_trace(m: np.ndarray, d_b: int, d_a: int) -> np.ndarray:
     if m.shape != (d_b * d_a, d_b * d_a):
         raise ValueError(f"expected shape {(d_b * d_a, d_b * d_a)}, got {m.shape}")
     return np.einsum("iaib->ab", m.reshape(d_b, d_a, d_b, d_a))
+
+
+def pair_labels(out_levels, in_levels) -> np.ndarray:
+    """out_levels[r] - in_levels[c] for each index r * len(in_levels) + c of ``H_out (x) H_in``."""
+    return np.subtract.outer(np.asarray(out_levels), np.asarray(in_levels)).ravel()
 
 
 def purity(rho: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chan import QuantumChannel, assert_covariant
-from .numkit import TOL
+from .numkit import TOL, pair_labels
 from .su2rep import (ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_norm,
                      spin_operators)
 
@@ -122,14 +122,15 @@ def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarr
 
 def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> QuantumChannel:
     """The extremal covariant channel E^L (Kraus rank 2L + 1)."""
-    return QuantumChannel(spin_in.dim, spin_out.dim,
-                          kraus=extremal_kraus(spin_in, spin_out, two_l))
+    return QuantumChannel(spin_in.dim, spin_out.dim, kraus=extremal_kraus(spin_in, spin_out, two_l),
+                          labels=pair_labels(spin_out.m_values(), spin_in.m_values()))
 
 
 def covariant_channel(mix: CovariantMixture) -> QuantumChannel:
     """Assemble sum_L p_L E^L from its Jamiolkowski block weights."""
     j = _block_state(ito_basis(mix.spin_in, mix.spin_out), mix.weights)
-    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j)
+    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j,
+                          labels=pair_labels(mix.spin_out.m_values(), mix.spin_in.m_values()))
 
 
 def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> CovariantMixture:
@@ -157,7 +158,8 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumCh
     """
     basis = ito_basis(spin_in, spin_out)
     out = _block_state(basis, _block_weights(basis, channel.jamiolkowski))
-    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out)
+    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out,
+                          labels=pair_labels(spin_out.m_values(), spin_in.m_values()))
 
 
 def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: int) -> float:

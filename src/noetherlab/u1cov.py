@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chan import QuantumChannel
-from .numkit import TOL
+from .numkit import TOL, pair_labels
 
 __all__ = [
     "EnergySpectrum",
@@ -67,8 +67,7 @@ class EnergySpectrum:
 
     def bohr_labels(self) -> np.ndarray:
         """E_m - E_n for each Jamiolkowski index m * d + n."""
-        e = np.asarray(self.levels)
-        return (e[:, None] - e[None, :]).ravel()
+        return pair_labels(self.levels, self.levels)
 
     def bohr_frequencies(self) -> list[int]:
         return sorted(set(self.bohr_labels().tolist()))
@@ -104,12 +103,6 @@ def _population(spectrum: EnergySpectrum, pop) -> np.ndarray:
     return pop
 
 
-def _same_label(spectrum: EnergySpectrum) -> np.ndarray:
-    """Mask of the Jamiolkowski entries between indices with equal Bohr labels."""
-    labels = spectrum.bohr_labels()
-    return labels[:, None] == labels[None, :]
-
-
 class U1BlockChannel(QuantumChannel):
     """A time-translation covariant channel on ``spectrum``, validated on construction.
     Its read-only Jamiolkowski state vanishes between indices with different
@@ -117,9 +110,8 @@ class U1BlockChannel(QuantumChannel):
     """
 
     def __init__(self, spectrum: EnergySpectrum, jamiolkowski):
-        super().__init__(spectrum.d, spectrum.d, jamiolkowski=jamiolkowski)
-        if np.any(self.jamiolkowski[~_same_label(spectrum)]):
-            raise ValueError("Jamiolkowski state couples pairs with different Bohr frequencies")
+        super().__init__(spectrum.d, spectrum.d, jamiolkowski=jamiolkowski,
+                         labels=spectrum.bohr_labels())
         self.spectrum = spectrum
 
     def population_matrix(self) -> np.ndarray:
@@ -152,7 +144,8 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         phase_map[tuple(entry[:2])] = float(entry[2])
 
     d = spectrum.d
-    pair_index = {(bohr, k // d): k for k, bohr in enumerate(spectrum.bohr_labels().tolist())}
+    labels = spectrum.bohr_labels()
+    pair_index = {(bohr, k // d): k for k, bohr in enumerate(labels.tolist())}
     unmatched = [pair for pair in phase_map if pair not in pair_index]
     if unmatched:
         raise ValueError(f"phases name no level pair (bohr, output_index): {unmatched}")
@@ -162,7 +155,7 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     # round-off negatives, down to -tol_eq as assert_stochastic allows, are clipped to 0
     amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0) / d)
     # + 0 turns the -0.0 entries of the outer product into 0.0
-    j = np.where(_same_label(spectrum), np.outer(amp, amp.conj()), 0) + 0
+    j = np.where(labels[:, None] == labels, np.outer(amp, amp.conj()), 0) + 0
     return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
 
 

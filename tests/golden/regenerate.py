@@ -8,8 +8,10 @@ from this checkout's ``src/`` and writes its stdout xz-compressed to
 ``<name>.stderr`` and every case's argv and exit code to ``cases.json``, all
 next to this script. In an argv, ``<golden>`` stands for this directory (the
 ``u1 build`` spec lives here) and ``<out>`` for a scratch ``--out`` path, whose
-file is kept xz-compressed as ``<name>.out.xz``. A change that regenerates the
-corpus lists every file it changed in CHANGES.md.
+file is kept xz-compressed as ``<name>.out.xz``. The ``STDERR_ONLY`` cases
+(the benchmarked sweeps, whose CSVs the benchmark's references hold) keep their
+stderr only and are marked ``"stderr_only"`` in ``cases.json``. A change that
+regenerates the corpus lists every file it changed in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ SRC = HERE.parent.parent / "src"
 SU2 = ["su2", "tradeoff", "--two-j", "2", "--grid", "0.1"]
 U1 = ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.05"]
 CHANNEL = ["su2", "channel", "--two-jA", "2", "--two-jB", "3", "--two-L", "3", "--repr"]
+# the summary and near-miss lines of the two benchmarked sweeps
+STDERR_ONLY = {
+    "su2_two_j4_grid0.05_stderr": ["su2", "tradeoff", "--two-j", "4", "--grid", "0.05",
+                                   "--out", "<out>"],
+    "u1_levels0-1_grid0.01_stderr": ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.01",
+                                     "--out", "<out>"],
+}
 CASES = {
     "su2_two_j2_grid0.1_csv": SU2 + ["--format", "csv"],
     "su2_two_j2_grid0.1_json": SU2 + ["--format", "json"],
@@ -40,6 +49,7 @@ CASES = {
     # the README's example spec
     "u1_build_readme_spec": ["u1", "build", "--json", "<golden>/u1_build_readme_spec.json",
                              "--out", "<out>"],
+    **STDERR_ONLY,
 }
 
 
@@ -57,11 +67,14 @@ def main() -> None:
             out_path = Path(scratch) / name
             proc = subprocess.run([sys.executable, "-m", "noetherlab.cli", *expand(argv, out_path)],
                                   capture_output=True, env=env)
-            (HERE / f"{name}.stdout.xz").write_bytes(lzma.compress(proc.stdout))
             (HERE / f"{name}.stderr").write_bytes(proc.stderr)
+            manifest[name] = {"argv": argv, "exit_code": proc.returncode}
+            if name in STDERR_ONLY:
+                manifest[name]["stderr_only"] = True
+                continue
+            (HERE / f"{name}.stdout.xz").write_bytes(lzma.compress(proc.stdout))
             if "<out>" in argv:
                 (HERE / f"{name}.out.xz").write_bytes(lzma.compress(out_path.read_bytes()))
-            manifest[name] = {"argv": argv, "exit_code": proc.returncode}
     (HERE / "cases.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 

@@ -339,8 +339,8 @@ class TestVerify:
     def test_conjugated_kraus_fails_roundtrip(self, monkeypatch):
         # conjugated eigen-Kraus operators form a different channel (the transpose
         # of E), so the round trip must see a nonzero action deviation
-        derive = chan._kraus_from_jamiolkowski
-        monkeypatch.setattr(chan, "_kraus_from_jamiolkowski",
+        derive = chan._kraus_from_blocks
+        monkeypatch.setattr(chan, "_kraus_from_blocks",
                             lambda *args: [k.conj() for k in derive(*args)])
         checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
         assert not checks["channel_representation_roundtrip"]["passed"]

@@ -225,7 +225,7 @@ class TestU1BlockChannel:
         spec = EnergySpectrum((0, 1))
         j = build_dephasing(spec, 0.0).jamiolkowski.copy()
         j[0, 1] = j[1, 0] = 1e-300  # Bohr labels 0 and -1
-        with pytest.raises(ValueError, match="different Bohr frequencies"):
+        with pytest.raises(ChannelValidationError, match="couples different labels"):
             U1BlockChannel(spec, j)
 
     def test_rejects_wrong_shape(self):

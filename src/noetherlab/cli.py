@@ -7,8 +7,10 @@ Sweep rows are emitted in deterministic parameter order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -117,11 +119,10 @@ def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     u, delta = metrics.su2_closed_forms(weights, spin, spin)
     lower, upper = bnd.su2_bound_checks(spin.j, u, delta)
 
-    # one CovariantMixture per row, which perfbench's tracer pins; it re-checks each row
-    mixed = np.array(parallel_map(lambda w: su2cov.CovariantMixture(spin, spin, w).weights,
-                                  weights))
+    # one CovariantMixture per row, which perfbench's tracer pins, only to re-check each row
+    parallel_map(lambda w: su2cov.CovariantMixture(spin, spin, w) and None, weights)
     params = {"two_j": np.broadcast_to(two_j, len(u)),
-              **{f"p_{i}": p for i, p in enumerate(mixed.T)}}
+              **{f"p_{i}": p for i, p in enumerate(weights.T)}}
     return TradeoffSweep(params, delta, u, lower.lhs, upper.rhs, (lower, upper))
 
 
@@ -153,6 +154,9 @@ def _tokens(column: np.ndarray, fmt: str, pre: str) -> list[str]:
     return np.array([pre + t for t in tokens], dtype=object)[inverse].tolist()
 
 
+_BLOCK_ROWS = 2048  # rows joined per write: the writer never holds the whole text
+
+
 def _write_records(sweep: TradeoffSweep, fmt: str, out_path: str | None) -> None:
     """Write what ``csv.writer`` or ``json.dumps(records(), indent=1, sort_keys=True)`` would."""
     columns = sweep.columns()
@@ -168,12 +172,10 @@ def _write_records(sweep: TradeoffSweep, fmt: str, out_path: str | None) -> None
         head, pres = ",".join(names) + foot, [foot, *[","] * (len(names) - 1)]
     cells = [_tokens(columns[n], fmt, pre) for pre, n in zip(pres, names)]
     cells[0][0] = head + cells[0][0][len(pres[0]):]  # the head in place of a row break
-    text = "".join(chain.from_iterable(zip(*cells))) + foot
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for i in range(0, len(sweep), _BLOCK_ROWS):
+            fh.write("".join(chain.from_iterable(zip(*(c[i:i + _BLOCK_ROWS] for c in cells)))))
+        fh.write(foot)
 
 
 # -- verification suite ------------------------------------------------------
@@ -378,7 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_sweep(args, title: str, sweep: TradeoffSweep) -> int:
     """Tail of both sweep commands: write the records, then print the summary
     and near-miss lines. Exit 1 on any bound violation."""
-    _write_records(sweep, args.format, args.out)
+    try:
+        _write_records(sweep, args.format, args.out)
+    except BrokenPipeError:  # a reader gone early (`| head`): drop the rest, flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     n_bad = int(np.count_nonzero(~sweep.ok))
     print(f"# {title}: {len(sweep)} records, {n_bad} bound violations", file=sys.stderr)
     print("\n".join(sweep.near_miss_lines()), file=sys.stderr)

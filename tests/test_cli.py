@@ -305,6 +305,26 @@ class TestUnwritableOut:
         assert str(out) in err
 
 
+class TestClosedPipe:
+    """A reader that leaves after one line, as ``| head -1`` does, truncates the
+    rows and nothing else: exit 0 and the same summary lines, with no error at exit."""
+
+    @pytest.mark.parametrize("fmt, first", [("csv", "levels,p00,p11,"), ("json", "[")])
+    def test_summary_and_exit_code_kept(self, fmt, first):
+        # 10,201 rows, several write blocks, far more than a pipe holds
+        proc = subprocess.Popen([sys.executable, "-m", "noetherlab.cli", "u1", "tradeoff",
+                                 "--levels", "0,1", "--grid", "0.01", "--format", fmt],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+        proc.stderr.close()
+        golden = Path(__file__).resolve().parent / "golden" / "u1_levels0-1_grid0.01_stderr.stderr"
+        assert line.startswith(first)
+        assert (code, err) == (0, golden.read_text())
+
+
 class TestVerify:
     @pytest.mark.parametrize("flags", [["--samples", "50"], ["--samples=-5"], ["--seed=-1"]],
                              ids=["samples_50", "samples_negative", "seed_negative"])

@@ -35,9 +35,6 @@ __all__ = [
     "QuantumChannel",
     "covariance_residual",
     "assert_covariant",
-    "identity_channel",
-    "unitary_channel",
-    "depolarizing_channel",
     "random_channel",
     "max_action_deviation",
 ]
@@ -185,13 +182,6 @@ class QuantumChannel:
             raise ValueError(f"observable must be {self.d_out} x {self.d_out}")
         return unvectorize(dagger(self.liouville) @ vectorize(y), self.d_in)
 
-    def compose(self, first: "QuantumChannel") -> "QuantumChannel":
-        """The map self o first (apply ``first``, then ``self``)."""
-        if first.d_out != self.d_in:
-            raise ValueError("inner dimensions do not match")
-        return QuantumChannel(first.d_in, self.d_out,
-                              liouville=self.liouville @ first.liouville)
-
     def complementary(self) -> "QuantumChannel":
         """Trace out the output instead of the environment of the same dilation."""
         ks = self.kraus
@@ -256,22 +246,6 @@ class QuantumChannel:
 
     def __repr__(self) -> str:
         return f"QuantumChannel(d_in={self.d_in}, d_out={self.d_out})"
-
-
-def identity_channel(d: int) -> QuantumChannel:
-    return QuantumChannel(d, d, kraus=[np.eye(d)])
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
-    return QuantumChannel(u.shape[1], u.shape[0], kraus=[u])
-
-
-def depolarizing_channel(d_in: int, d_out: int | None = None) -> QuantumChannel:
-    """The channel sending every state to the maximally mixed output."""
-    d_out = d_in if d_out is None else d_out
-    j = np.eye(d_out * d_in) / (d_out * d_in)
-    return QuantumChannel(d_in, d_out, jamiolkowski=j)
 
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed) -> QuantumChannel:

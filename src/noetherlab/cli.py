@@ -1,6 +1,7 @@
 """Command-line surface: channel construction, trade-off sweeps, verification.
 
-Exit codes: 0 success, 1 invariant or bound failure, 2 usage error.
+Exit codes: 0 success, 1 invariant or bound failure, 2 usage error; an input too
+large to allocate is a usage error too ("out of memory" if its MemoryError has no text).
 Sweep rows are emitted in deterministic parameter order.
 """
 
@@ -457,8 +458,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:  # a usage error, an unreadable input or unwritable --out
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:  # a usage error, an unreadable input,
+        # an unwritable --out or an input too large to allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "haar_pure_batch",
     "haar_isometry",
     "ginibre",
-    "mat_exp_skew_hermitian",
     "parallel_map",
 ]
 
@@ -131,15 +130,6 @@ def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph
-
-
-def mat_exp_skew_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(i t H) for Hermitian H, computed by eigendecomposition (unitary)."""
-    h = np.asarray(h)
-    if not is_hermitian(h):
-        raise ValueError("generator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * t * w)) @ dagger(v)
 
 
 def parallel_map(fn, items):

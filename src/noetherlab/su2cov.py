@@ -19,8 +19,7 @@ import numpy as np
 
 from .chan import QuantumChannel, assert_covariant
 from .numkit import TOL, pair_labels
-from .su2rep import (ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_norm,
-                     spin_operators)
+from .su2rep import ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_operators
 
 __all__ = [
     "CovariantMixture",
@@ -33,8 +32,6 @@ __all__ = [
     "decompose",
     "twirl",
     "scaling_coefficient",
-    "scaling_vector",
-    "f1_explicit",
     "polarization_factor",
     "kappa_extrema",
     "time_reversal_fidelity",
@@ -75,18 +72,6 @@ class CovariantMixture:
         if w.ndim != 1:
             raise ValueError(f"expected one weight vector, got shape {w.shape}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    @property
-    def labels(self) -> list[int]:
-        return coupled_labels(self.spin_in, self.spin_out)
-
-    def items(self):
-        return list(zip(self.labels, self.weights))
-
-    @classmethod
-    def pure(cls, spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> "CovariantMixture":
-        labels = coupled_labels(spin_in, spin_out)
-        return cls(spin_in, spin_out, tuple(1.0 if l == two_l else 0.0 for l in labels))
 
 
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
@@ -177,25 +162,6 @@ def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: i
     t_in, t_out = (np.diagonal(ito_basis(s).family(two_l)[two_l // 2])
                    for s in (spin_in, spin_out))
     return float(np.real(t_out @ transfer @ t_in))
-
-
-def scaling_vector(mix: CovariantMixture) -> np.ndarray:
-    """f_l of the mixture for l = 0 .. 2 min(j_in, j_out).
-
-    Trace preservation pins f_0 to sqrt(d_in / d_out) (1 for equal spins)
-    independently of the weights.
-    """
-    two_ls = range(0, 2 * min(mix.spin_in.two_j, mix.spin_out.two_j) + 2, 2)
-    return np.array([
-        sum(p * scaling_coefficient(mix.spin_in.two_j, mix.spin_out.two_j, two_lc, two_l)
-            for two_lc, p in mix.items())
-        for two_l in two_ls
-    ])
-
-
-def f1_explicit(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:
-    """Closed form for f_1(E^L): kappa(E^L) rescaled by ||J_in|| / ||J_out||."""
-    return polarization_factor(spin_in, spin_out, two_l) * spin_norm(spin_in) / spin_norm(spin_out)
 
 
 def polarization_factor(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> float:

@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .numkit import dagger, mat_exp_skew_hermitian, as_rng
+from .numkit import dagger
 
 __all__ = [
     "SpinJ",
@@ -24,14 +24,10 @@ __all__ = [
     "clebsch_gordan",
     "cg",
     "spin_operators",
-    "spin_norm",
     "coupled_labels",
     "check_ladder",
     "ItoBasis",
     "ito_basis",
-    "coherent_state",
-    "rotation_unitary",
-    "random_rotation_vector",
 ]
 
 
@@ -161,12 +157,6 @@ def cg(two_j1: int, two_m1: int, two_j2: int, two_m2: int, two_J: int, two_M: in
     return clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_J, two_M).value()
 
 
-def spin_norm(spin: SpinJ) -> float:
-    """sqrt(j (j+1) (2j+1)), the Hilbert-Schmidt length of the spin vector."""
-    j = spin.j
-    return float(np.sqrt(j * (j + 1) * (2 * j + 1)))
-
-
 def _ladder(d: int) -> np.ndarray:
     """<m+1|J_+|m> = sqrt(i (d - i)) for |m> at index i = 0 .. d of the descending m's."""
     i = np.arange(d + 1)
@@ -264,29 +254,3 @@ def _ito_basis_cached(two_j_in: int, two_j_out: int) -> ItoBasis:
 def ito_basis(spin_in: SpinJ, spin_out: SpinJ | None = None) -> ItoBasis:
     spin_out = spin_in if spin_out is None else spin_out
     return _ito_basis_cached(spin_in.two_j, spin_out.two_j)
-
-
-def rotation_unitary(spin: SpinJ, g: np.ndarray) -> np.ndarray:
-    """exp(i (g_x Jx + g_y Jy + g_z Jz)) for a rotation vector g."""
-    jx, jy, jz = spin_operators(spin)
-    return mat_exp_skew_hermitian(g[0] * jx + g[1] * jy + g[2] * jz)
-
-
-def random_rotation_vector(seed) -> np.ndarray:
-    """Haar-random SU(2) element in axis-angle form (uniform quaternion)."""
-    rng = as_rng(seed)
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    angle = 2.0 * np.arctan2(np.linalg.norm(q[1:]), q[0])
-    norm = np.linalg.norm(q[1:])
-    axis = q[1:] / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-    return angle * axis
-
-
-def coherent_state(spin: SpinJ, theta: float, phi: float) -> np.ndarray:
-    """Spin-coherent state: |j, j> rotated so that <J . n> = j along
-    n = (sin t cos p, sin t sin p, cos t).  theta = 0 returns |j, j> exactly."""
-    jx, jy, _ = spin_operators(spin)
-    h = -np.sin(phi) * jx + np.cos(phi) * jy
-    u = mat_exp_skew_hermitian(h, -theta)
-    return u[:, 0].copy()

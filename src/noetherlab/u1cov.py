@@ -28,7 +28,6 @@ __all__ = [
     "U1Stats",
     "assert_stochastic",
     "build_extremal",
-    "build_dephasing",
     "u1_structure_stats",
     "optimal_unitarity_for_population",
     "u1_deviation",
@@ -156,17 +155,6 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0) / d)
     # + 0 turns the -0.0 entries of the outer product into 0.0
     j = np.where(labels[:, None] == labels, np.outer(amp, amp.conj()), 0) + 0
-    return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
-
-
-def build_dephasing(spectrum: EnergySpectrum, p: float) -> U1BlockChannel:
-    """Partial dephasing: populations untouched, coherences damped by 1 - p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("dephasing strength must lie in [0, 1]")
-    d = spectrum.d
-    diagonal_pairs = np.flatnonzero(spectrum.bohr_labels() == 0)
-    j = np.zeros((d * d, d * d), dtype=complex)
-    j[np.ix_(diagonal_pairs, diagonal_pairs)] = ((1.0 - p) * np.ones((d, d)) + p * np.eye(d)) / d
     return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
 
 

@@ -36,7 +36,8 @@ from noetherlab.su2cov import (
     time_reversal_fidelity,
 )
 from noetherlab.su2rep import SpinJ, cg, spin_operators
-from noetherlab.u1cov import EnergySpectrum, build_dephasing
+from noetherlab.u1cov import EnergySpectrum
+from support import dephasing_channel, pure_mixture
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -150,7 +151,7 @@ def test_criterion_07_su2_bound_envelope():
             if not (lo.satisfied and up.satisfied):
                 violations += 1
     half = SpinJ(1)
-    _, up = su2_bounds(CovariantMixture.pure(half, half, 2))
+    _, up = su2_bounds(pure_mixture(half, half, 2))
     tight = abs(up.lhs - up.rhs)
     report(7, violations == 0 and tight < 1e-12,
            f"{violations} violations in 40000 mixtures; upper bound tight to {tight:.2e}")
@@ -192,7 +193,7 @@ def test_criterion_09_u1_figure_reproduction():
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     above = sum(float(r["unitarity"]) > float(r["bound_upper"]) + 1e-9 for r in rows)
     deph_err = max(
-        abs(unitarity_jamiolkowski(build_dephasing(EnergySpectrum(levels), 1.0))
+        abs(unitarity_jamiolkowski(dephasing_channel(EnergySpectrum(levels), 1.0))
             - 1.0 / (len(levels) + 1))
         for levels in ((0, 1), (0, 1, 2), (0, 1, 3, 6))
     )

@@ -25,14 +25,16 @@ TOL = 1e-12
 
 def unitarity_loop(mix: CovariantMixture) -> float:
     d_in, d_out = mix.spin_in.dim, mix.spin_out.dim
-    s = sum(p * p / (two_l + 1) for two_l, p in mix.items())
+    labels = coupled_labels(mix.spin_in, mix.spin_out)
+    s = sum(p * p / (two_l + 1) for two_l, p in zip(labels, mix.weights))
     return (d_in**2 * s - d_in / d_out) / (d_in**2 - 1)
 
 
 def deviation_loop(mix: CovariantMixture) -> float:
     ja, jb = mix.spin_in.j, mix.spin_out.j
     beta = jb * (jb + 1) - ja * (ja + 1)
-    drift = beta - sum(p * (two_l / 2) * (two_l / 2 + 1) for two_l, p in mix.items())
+    labels = coupled_labels(mix.spin_in, mix.spin_out)
+    drift = beta - sum(p * (two_l / 2) * (two_l / 2 + 1) for two_l, p in zip(labels, mix.weights))
     return drift**2 / (8 * ja * (ja + 1) ** 2)
 
 

@@ -12,9 +12,7 @@ from noetherlab.bounds import (
 from noetherlab.chan import (
     QuantumChannel,
     covariance_residual,
-    identity_channel,
     random_channel,
-    unitary_channel,
 )
 from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_su2_closed
 from noetherlab.numkit import haar_isometry
@@ -27,7 +25,8 @@ from noetherlab.su2cov import (
     polarization_factor,
 )
 from noetherlab.su2rep import SpinJ, spin_operators
-from noetherlab.u1cov import EnergySpectrum, build_dephasing, build_extremal, u1_deviation
+from noetherlab.u1cov import EnergySpectrum, build_extremal, u1_deviation
+from support import dephasing_channel, identity_channel, pure_mixture, unitary_channel
 
 
 def qubit_f_table():
@@ -130,14 +129,14 @@ class TestLowerBoundMultiplicityFree:
 class TestSu2Bounds:
     def test_qubit_extremal_upper_tight(self):
         half = SpinJ(1)
-        lo, up = su2_bounds(CovariantMixture.pure(half, half, 2))
+        lo, up = su2_bounds(pure_mixture(half, half, 2))
         assert abs(lo.lhs - 2 / 9) < 1e-12 and lo.satisfied
         assert abs(up.lhs - 2 / 3) < 1e-12
         assert abs(up.rhs - up.lhs) < 1e-12  # equality at the inversion vertex
 
     def test_identity_degenerate(self):
         half = SpinJ(1)
-        lo, up = su2_bounds(CovariantMixture.pure(half, half, 0))
+        lo, up = su2_bounds(pure_mixture(half, half, 0))
         assert lo.lhs == 0.0 and up.lhs == 0.0 and lo.satisfied and up.satisfied
 
     def test_spin_one_coefficients(self):
@@ -167,12 +166,12 @@ class TestSu2Bounds:
 
     def test_unequal_spins_rejected(self):
         with pytest.raises(ValueError):
-            su2_bounds(CovariantMixture.pure(SpinJ(1), SpinJ(2), 1))
+            su2_bounds(pure_mixture(SpinJ(1), SpinJ(2), 1))
 
 
 class TestU1Bound:
     def test_dephasing_trivial(self):
-        chk = u1_bound(build_dephasing(EnergySpectrum((0, 1)), 1.0))
+        chk = u1_bound(dephasing_channel(EnergySpectrum((0, 1)), 1.0))
         assert abs(chk.lhs - 1 / 3) < 1e-12 and abs(chk.rhs - 1.0) < 1e-12 and chk.satisfied
 
     def test_qubit_full_flip(self):

@@ -425,6 +425,24 @@ class TestMainEntry:
         assert isinstance(excinfo.value.__cause__, chan.ChannelValidationError)
         assert "error:" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("Unable to allocate 931. GiB for an array", "Unable to allocate 931. GiB for an array"),
+        ("", "out of memory"),
+    ], ids=["numpy_message", "no_message"])
+    def test_input_too_large_to_allocate_is_a_usage_error(self, monkeypatch, capsys, tmp_path,
+                                                         text, line):
+        # the builders raise as numpy does on a too large input; nothing is allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError(text)
+        monkeypatch.setattr(cli.su2cov, "extremal_channel", too_large)
+        monkeypatch.setattr(cli.u1cov, "build_extremal", too_large)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"levels": [0, 1], "gamma": [[1, 0], [0, 1]]}))
+        for argv in (["su2", "channel", "--two-jA", "200", "--two-jB", "200", "--two-L", "0"],
+                     ["u1", "build", "--json", str(spec)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
+
 
 class TestExecutionOrder:
     def test_rows_independent_of_execution_order(self, monkeypatch):

@@ -14,7 +14,8 @@ from noetherlab.numkit import pair_labels
 from noetherlab.su2cov import (CovariantMixture, coupled_labels, covariant_channel,
                                extremal_channel, twirl)
 from noetherlab.su2rep import SpinJ, ito_basis
-from noetherlab.u1cov import EnergySpectrum, U1BlockChannel, build_dephasing, build_extremal
+from noetherlab.u1cov import EnergySpectrum, U1BlockChannel, build_extremal
+from support import dephasing_channel
 
 TOL = 1e-12
 
@@ -93,7 +94,7 @@ def test_u1_build_extremal_matches_dense(channel):
 
 @pytest.mark.parametrize("d", [3, 8, 10])
 def test_u1_dephasing_matches_dense(d):
-    assert_matches_dense(build_dephasing(EnergySpectrum(tuple(range(d))), 0.3))
+    assert_matches_dense(dephasing_channel(EnergySpectrum(tuple(range(d))), 0.3))
 
 
 def test_jz_labels_are_the_ito_block_labels():
@@ -149,7 +150,7 @@ def test_rejects_labels_of_wrong_length(length):
 
 def test_u1_channel_checks_labels_before_positivity():
     spec = EnergySpectrum((0, 1))
-    j = build_dephasing(spec, 0.0).jamiolkowski.copy()
+    j = dephasing_channel(spec, 0.0).jamiolkowski.copy()
     j[0, 1] = j[1, 0] = 1.0  # off-label and not positive
     with pytest.raises(ChannelValidationError, match="couples different labels"):
         U1BlockChannel(spec, j)

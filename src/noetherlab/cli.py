@@ -120,7 +120,7 @@ def su2_tradeoff_records(two_j: int, grid: float) -> TradeoffSweep:
     u, delta = metrics.su2_closed_forms(weights, spin, spin)
     lower, upper = bnd.su2_bound_checks(spin.j, u, delta)
 
-    # one CovariantMixture per row, which perfbench's tracer pins, only to re-check each row
+    # one CovariantMixture per row, pinned by perfbench: ~3 us a row, over half of this call
     parallel_map(lambda w: su2cov.CovariantMixture(spin, spin, w) and None, weights)
     params = {"two_j": np.broadcast_to(two_j, len(u)),
               **{f"p_{i}": p for i, p in enumerate(weights.T)}}
@@ -415,8 +415,12 @@ def _cmd_su2_channel(args) -> int:
 def _cmd_u1_tradeoff(args) -> int:
     if not 0.0 < args.grid <= 1.0:
         raise ValueError("need 0 < --grid <= 1")
+    try:
+        levels = [int(x) for x in args.levels.split(",")]
+    except ValueError:
+        raise ValueError(f"--levels must be comma-separated integers, got {args.levels!r}") from None
     return _run_sweep(args, f"u1 tradeoff levels={args.levels} grid={args.grid}",
-                      u1_tradeoff_records([int(x) for x in args.levels.split(",")], args.grid))
+                      u1_tradeoff_records(levels, args.grid))
 
 
 def _cmd_u1_build(args) -> int:

@@ -40,18 +40,23 @@ __all__ = [
 ]
 
 
+def _in_simplex(lowest, total):
+    """No entry below -tol_eq and a sum within tol_sum of 1 (elementwise on arrays)."""
+    return (lowest >= -TOL.tol_eq) & (abs(total - 1.0) <= TOL.tol_sum)
+
+
 def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
     """Validate simplex weights over ``coupled_labels(spin_in, spin_out)``.
 
-    ``weights`` is one probability vector or an ``(..., n)`` stack of them;
-    every entry must be >= -tol_eq and every vector must sum to 1 within tol_sum.
+    ``weights`` is one probability vector or an ``(..., n)`` stack of them, each
+    held to ``_in_simplex`` by its minimum and its sum (a NaN fails the sum).
     Returns the weights as a float array of the same shape.
     """
     n = len(coupled_labels(spin_in, spin_out))
     w = np.asarray(weights, dtype=float)
     if w.shape[-1:] != (n,):
         raise ValueError(f"expected {n} weights, got {w.shape}")
-    if not ((w >= -TOL.tol_eq).all() and (abs(w.sum(axis=-1) - 1.0) <= TOL.tol_sum).all()):
+    if not _in_simplex(w.min(axis=-1), w.sum(axis=-1)).all():
         raise ValueError("weights must be a probability distribution")
     return w
 
@@ -60,7 +65,9 @@ def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
 class CovariantMixture:
     """Probability weights over the extremal channels E^L.
 
-    ``weights[i]`` belongs to ``coupled_labels(spin_in, spin_out)[i]``.
+    ``weights[i]`` belongs to ``coupled_labels(spin_in, spin_out)[i]``.  The vector is
+    held to ``_in_simplex`` in Python floats, whose sum (compensated on Python >= 3.12)
+    can differ from numpy's by ulps: the two checks may disagree that close to 1 +- tol_sum.
     """
 
     spin_in: SpinJ
@@ -68,10 +75,14 @@ class CovariantMixture:
     weights: tuple
 
     def __post_init__(self):
-        w = check_weights(self.weights, self.spin_in, self.spin_out)
-        if w.ndim != 1:
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(coupled_labels(self.spin_in, self.spin_out)),):
+            check_weights(w, self.spin_in, self.spin_out)  # names a wrong length or bad stack
             raise ValueError(f"expected one weight vector, got shape {w.shape}")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        weights = w.tolist()
+        if not _in_simplex(min(weights), sum(weights)):
+            raise ValueError("weights must be a probability distribution")
+        object.__setattr__(self, "weights", tuple(weights))
 
 
 def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:

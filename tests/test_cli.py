@@ -397,7 +397,8 @@ class TestMainEntry:
         ("u1 tradeoff --levels 0,1 --grid 2", "need 0 < --grid <= 1"),
         ("u1 tradeoff --levels 1,0 --grid 0.5",
          "levels must be two or more strictly increasing integers"),
-        ("u1 tradeoff --levels a,1 --grid 0.5", "invalid literal for int() with base 10: 'a'"),
+        ("u1 tradeoff --levels a,1 --grid 0.5",
+         "--levels must be comma-separated integers, got 'a,1'"),
         ("u1 tradeoff --levels 0,1,2 --grid 0.5",
          "the population-grid sweep is defined for two-level spectra"),
         ("su2 kappa --two-jA 0 --two-jB 1", "polarization scaling needs both spins nonzero"),

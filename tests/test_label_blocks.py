@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noetherlab import numkit
 from noetherlab.chan import ChannelValidationError, QuantumChannel, random_channel
 from noetherlab.metrics import unitarity_complementary, unitarity_jamiolkowski
 from noetherlab.numkit import pair_labels
@@ -24,13 +25,25 @@ def jz_labels(spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:
     return pair_labels(spin_out.m_values(), spin_in.m_values())
 
 
+def kraus_state(channel: QuantumChannel) -> np.ndarray:
+    """sum_k vec K_k vec K_k^dag / d_in: J rebuilt from the Kraus operators."""
+    vecs = np.stack(channel.kraus).reshape(channel.kraus_rank, -1)
+    return vecs.T @ vecs.conj() / channel.d_in
+
+
 def assert_matches_dense(labelled: QuantumChannel):
+    """Same Kraus form as the dense route, and exactly the documented rule: the Kraus
+    operators keep the eigenpairs of J above tol_psd, so adding back the ones at or
+    below it, taken from an independent eigh of J, gives J."""
     dense = QuantumChannel(labelled.d_in, labelled.d_out, jamiolkowski=labelled.jamiolkowski)
     assert abs(labelled.cp_min_eig - dense.cp_min_eig) <= TOL
     assert labelled.kraus_rank == dense.kraus_rank
-    vecs = np.stack(labelled.kraus).reshape(labelled.kraus_rank, -1)
-    rebuilt = vecs.T @ vecs.conj() / labelled.d_in  # sum_k vec K_k vec K_k^dag / d_in
-    assert np.max(np.abs(rebuilt - labelled.jamiolkowski)) <= TOL
+    rebuilt = kraus_state(labelled)
+    assert np.max(np.abs(rebuilt - kraus_state(dense))) <= TOL
+    w, v = np.linalg.eigh(labelled.jamiolkowski)
+    dropped = w <= numkit.TOL.tol_psd
+    rest = (v[:, dropped] * w[dropped]) @ v[:, dropped].conj().T
+    assert np.max(np.abs(rebuilt + rest - labelled.jamiolkowski)) <= TOL
     assert abs(unitarity_complementary(labelled) - unitarity_jamiolkowski(labelled)) <= TOL
 
 
@@ -89,6 +102,15 @@ def u1_channels(draw):
 @given(u1_channels())
 @settings(max_examples=30, deadline=None)
 def test_u1_build_extremal_matches_dense(channel):
+    assert_matches_dense(channel)
+
+
+def test_u1_kraus_form_drops_a_block_below_tol_psd():
+    # the single-pair Bohr block of levels 1 <- 0 holds gamma / d = 5e-10 < tol_psd
+    gamma = np.array([[1 - 1.5e-9, 0, 0], [1.5e-9, 1, 0], [0, 0, 1]])
+    channel = build_extremal(EnergySpectrum((0, 1, 3)), gamma)
+    missed = np.max(np.abs(kraus_state(channel) - channel.jamiolkowski))
+    assert missed == pytest.approx(5e-10, rel=1e-6)
     assert_matches_dense(channel)
 
 

@@ -1,9 +1,11 @@
 """Covariant-simplex structure, checked against oracles built straight from
 Clebsch-Gordan sums (no shared code path with the constructions under test)."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noetherlab.chan import (
@@ -12,9 +14,10 @@ from noetherlab.chan import (
     max_action_deviation,
     random_channel,
 )
-from noetherlab.numkit import dagger, haar_isometry, haar_pure_batch
+from noetherlab.numkit import TOL, dagger, haar_isometry, haar_pure_batch
 from noetherlab.su2cov import (
     CovariantMixture,
+    check_weights,
     coupled_labels,
     covariant_channel,
     decompose,
@@ -193,6 +196,87 @@ class TestSimplexGeometry:
             CovariantMixture(s, s, (np.nan, 1.0))
         with pytest.raises(ValueError, match="one weight vector"):
             CovariantMixture(s, s, ((0.5, 0.5), (0.5, 0.5)))
+
+
+def mixture_weights(weights, spin):
+    """The weights CovariantMixture stores, or None if it rejects them."""
+    try:
+        return CovariantMixture(spin, spin, weights).weights
+    except ValueError:
+        return None
+
+
+def stack_weights(weights, spin):
+    """check_weights as the tuple a mixture would store, or None if it rejects the
+    weights or they are not one vector."""
+    try:
+        w = check_weights(weights, spin, spin)
+    except ValueError:
+        return None
+    return tuple(float(x) for x in w) if w.ndim == 1 else None
+
+
+@st.composite
+def weight_inputs(draw):
+    """(spin, weights) near the simplex in every form callers pass: lists, tuples,
+    ndarray rows, int entries, wrong lengths and 2-D stacks, with NaN and inf."""
+    spin = SpinJ(draw(st.integers(1, 9)))
+    n = draw(st.sampled_from([spin.dim] * 4 + [spin.dim - 1, spin.dim + 1]))
+    raw = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    w = [x / sum(raw) for x in raw] if sum(raw) > 0 else [1.0] + [0.0] * (n - 1)
+    w[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, -2e-9]) | st.floats(-3e-6, 3e-6))
+    if draw(st.integers(0, 9)) == 0:
+        w[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    form = draw(st.sampled_from(["list", "tuple", "row", "ints", "stack"]))
+    if form == "ints":
+        return spin, draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    if form == "row":  # a strided row of a Fortran-ordered array
+        return spin, np.asfortranarray([[0.0] * n, w])[1]
+    if form == "stack":
+        return spin, draw(st.sampled_from([np.array([w, w]), (tuple(w),)]))
+    return spin, w if form == "list" else tuple(w)
+
+
+class TestMixtureMatchesCheckWeights:
+    """CovariantMixture checks one vector in Python floats, check_weights in numpy
+    reductions; both apply the one simplex rule."""
+
+    @given(weight_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_and_same_floats(self, case):
+        spin, weights = case
+        w = np.asarray(weights, dtype=float)
+        if w.ndim == 1 and np.isfinite(w).all():
+            # the two sums round differently by a few ulps: keep clear of 1 +- tol_sum
+            assume(abs(abs(math.fsum(w.tolist()) - 1.0) - TOL.tol_sum) > 1e-12)
+        expected, got = stack_weights(weights, spin), mixture_weights(weights, spin)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("weights, accepted", [
+        ((-TOL.tol_eq, 0.5, 0.5 + TOL.tol_eq), True),
+        ((-TOL.tol_eq - 1e-12, 0.5, 0.5 + TOL.tol_eq + 1e-12), False),
+        ((0.5, 0.5, TOL.tol_sum - 1e-9), True),
+        ((0.5, 0.5 - TOL.tol_sum + 1e-9, 0.0), True),
+        ((0.5, 0.5, TOL.tol_sum + 1e-9), False),
+        ((0.5, 0.5 - TOL.tol_sum - 1e-9, 0.0), False),
+        ((np.nan, 0.5, 0.5), False),
+        ((0.5, 0.5, np.nan), False),
+        ((np.inf, 0.0, 0.0), False),
+        ((-np.inf, 1.0, 1.0), False),
+    ], ids=["min_at_tol", "min_past_tol", "sum_high_in", "sum_low_in", "sum_high_out",
+            "sum_low_out", "nan_first", "nan_last", "inf", "minus_inf"])
+    def test_rule_edges(self, weights, accepted):
+        spin = SpinJ(2)
+        assert (mixture_weights(weights, spin) is not None) == accepted
+        assert (stack_weights(weights, spin) is not None) == accepted
+        stack = np.array([[1.0, 0.0, 0.0], weights])  # the row rule of the stack path
+        if accepted:
+            check_weights(stack, spin, spin)
+        else:
+            with pytest.raises(ValueError, match="probability distribution"):
+                check_weights(stack, spin, spin)
 
 
 class TestTwirl:

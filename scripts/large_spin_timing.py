@@ -5,10 +5,10 @@
 
 Draws one Dirichlet(0.7) mixture between two spin-j systems, then times
 ``covariant_channel`` + ``twirl`` + ``unitarity_complementary`` together in a
-warm process (the ITO basis is built first and not timed).  Prints those
-seconds, the residual of the complementary unitarity against
-``unitarity_su2_closed`` and the process's peak RSS.  It reports; it gates
-nothing.
+warm process (the ITO basis is built first and not timed), then ``decompose``
+of the twirled channel on its own.  Prints both times, the residual of the
+complementary unitarity against ``unitarity_su2_closed`` and the process's
+peak RSS.  It reports; it gates nothing.
 """
 
 import argparse
@@ -35,10 +35,14 @@ def run(two_j: int, seed: int) -> str:
     channel = su2cov.twirl(su2cov.covariant_channel(mix), spin, spin)
     u = metrics.unitarity_complementary(channel)
     seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    su2cov.decompose(channel, spin, spin)
+    decompose_s = time.perf_counter() - t0
     residual = abs(u - metrics.unitarity_su2_closed(mix))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return (f"two_j={two_j}: covariant_channel + twirl + unitarity_complementary "
-            f"{seconds:.2f} s, residual {residual:.1e} against unitarity_su2_closed, "
+            f"{seconds:.2f} s, decompose {decompose_s:.3f} s, "
+            f"residual {residual:.1e} against unitarity_su2_closed, "
             f"peak RSS {rss_mb:.0f} MB")
 
 

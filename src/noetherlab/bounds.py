@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chan import QuantumChannel, assert_covariant
+from .chan import QuantumChannel, covariance_residual
 from .metrics import (
     GeneratorSet,
     deviation_avg,
@@ -84,7 +84,9 @@ def upper_bound_general(channel: QuantumChannel, gens: GeneratorSet) -> BoundChe
     requires the maximally-mixed output purity condition, and the check is
     flagged not-applicable when that condition fails.
     """
-    assert_covariant(channel, gens.j_in, gens.j_out)
+    res = covariance_residual(channel, gens.j_in, gens.j_out)
+    if res > TOL.tol_eq:
+        raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
     applicable = True
     if channel.d_out > channel.d_in:
         applicable = purity_condition_holds(channel)

@@ -34,7 +34,6 @@ __all__ = [
     "ChannelValidationError",
     "QuantumChannel",
     "covariance_residual",
-    "assert_covariant",
     "random_channel",
     "max_action_deviation",
 ]
@@ -276,13 +275,6 @@ def covariance_residual(channel: QuantumChannel, gens_in, gens_out) -> float:
         j_gen = g_out.T @ by_col - by_col @ g_in_c
         res = max(res, float(np.max(np.abs(j_gen.reshape(n, n) - gen_j.reshape(n, n)))))
     return res
-
-
-def assert_covariant(channel: QuantumChannel, gens_in, gens_out) -> None:
-    """Raise unless :func:`covariance_residual` is within tol_eq."""
-    res = covariance_residual(channel, gens_in, gens_out)
-    if res > TOL.tol_eq:
-        raise ValueError(f"channel is not covariant: commutator residual {res:.2e}")
 
 
 def max_action_deviation(a: QuantumChannel, b: QuantumChannel) -> float:

@@ -7,7 +7,8 @@ built from the ITO basis of :mod:`su2rep` (held to exact Clebsch-Gordan
 data by the tests).  ``Pi_L`` is the sum of ``|T_{L,M}><T_{L,M}|`` over the
 vectorized spin-L tensor operators, so block traces and block sums are
 contractions with the basis's one real block per M: no dense projector is
-stored, and twirling is exact (no group quadrature).
+stored, and twirling is exact (no group quadrature).  SU(2) on H_out (x) H_in is
+multiplicity-free, so the Pi_L span its commutant: J is covariant iff J = twirl(J).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chan import QuantumChannel, assert_covariant
+from .chan import QuantumChannel
 from .numkit import TOL, pair_labels
 from .su2rep import ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_operators
 
@@ -92,12 +93,16 @@ def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-def _block_weights(basis: ItoBasis, j: np.ndarray) -> np.ndarray:
-    """p_L = tr(Pi_L J) = sum_M <T_{L,M}|J|T_{L,M}> per irrep L of ``basis``, ascending."""
+def _twirl_state(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ):
+    """The weights p_L = tr(Pi_L J), L ascending, and the twirl sum_L p_L Pi_L/(2L+1) of J."""
+    if (channel.d_in, channel.d_out) != (spin_in.dim, spin_out.dim):
+        raise ValueError(f"channel (d_in, d_out) = ({channel.d_in}, {channel.d_out}) does not "
+                         f"match the spins' ({spin_in.dim}, {spin_out.dim})")
+    basis, j = ito_basis(spin_in, spin_out), channel.jamiolkowski
     p = np.zeros(len(basis.labels))
     for _, index, v in basis.blocks:
         p[-v.shape[1]:] += np.sum(v * (j[np.ix_(index, index)].real @ v), axis=0)
-    return p
+    return p.tolist(), _block_state(basis, p)
 
 
 def _block_state(basis: ItoBasis, weights) -> np.ndarray:
@@ -132,11 +137,16 @@ def covariant_channel(mix: CovariantMixture) -> QuantumChannel:
 def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> CovariantMixture:
     """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel.
 
-    Round-off negatives down to -tol_psd are clipped to 0; a weight below that
-    is an error, reported with the mass clipping would have discarded.
+    SU(2) on H_out (x) H_in is multiplicity-free, so J is covariant iff J = twirl(J):
+    max |J - twirl(J)| > tol_eq rejects it, off-label entries included.  Round-off
+    negatives down to -tol_psd are clipped to 0; a weight below that is an error,
+    reported with the mass clipping would have discarded.
     """
-    assert_covariant(channel, spin_operators(spin_in), spin_operators(spin_out))
-    weights = _block_weights(ito_basis(spin_in, spin_out), channel.jamiolkowski).tolist()
+    weights, state = _twirl_state(channel, spin_in, spin_out)
+    state -= channel.jamiolkowski  # in place: the twirl is not needed after this
+    res = float(np.max(np.abs(state)))
+    if res > TOL.tol_eq:
+        raise ValueError(f"channel is not covariant: twirl residual {res:.2e}")
     if min(weights) < -TOL.tol_psd:
         clipped = -sum(w for w in weights if w < 0)
         raise ValueError(f"simplex weight {min(weights):.2e} below -tol_psd={-TOL.tol_psd:.0e}: "
@@ -152,9 +162,8 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumCh
     state assembled from the block weights of J.  Idempotent, and the
     identity on covariant inputs.
     """
-    basis = ito_basis(spin_in, spin_out)
-    out = _block_state(basis, _block_weights(basis, channel.jamiolkowski))
-    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=out,
+    return QuantumChannel(spin_in.dim, spin_out.dim,
+                          jamiolkowski=_twirl_state(channel, spin_in, spin_out)[1],
                           labels=pair_labels(spin_out.m_values(), spin_in.m_values()))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from noetherlab.chan import (
     random_channel,
 )
 from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_su2_closed
-from noetherlab.numkit import haar_isometry
+from noetherlab.numkit import TOL, haar_isometry
 from noetherlab.su2cov import (
     CovariantMixture,
     coupled_labels,
@@ -23,6 +25,7 @@ from noetherlab.su2cov import (
     decompose,
     extremal_channel,
     polarization_factor,
+    twirl,
 )
 from noetherlab.su2rep import SpinJ, spin_operators
 from noetherlab.u1cov import EnergySpectrum, build_extremal, u1_deviation
@@ -62,7 +65,8 @@ class TestUpperBoundGeneral:
             upper_bound_general(unitary_channel(haar_isometry(2, 2, 1)), su2_generators(SpinJ(1)))
 
     def test_same_covariance_threshold_as_decompose(self):
-        # a CPTP channel 1e-8 away from covariance: outside tol_eq = 1e-9 for both
+        # a CPTP channel 1e-8 away from covariance: outside tol_eq = 1e-9 for both rules,
+        # the commutator of upper_bound_general and the twirl residual of decompose
         s = SpinJ(1)
         gens = spin_operators(s)
         cov = covariant_channel(CovariantMixture(s, s, (0.5, 0.5)))
@@ -73,7 +77,9 @@ class TestUpperBoundGeneral:
         assert 0.9e-8 < covariance_residual(near, gens, gens) < 1.1e-8
         with pytest.raises(ValueError, match="not covariant: commutator residual 1.00e-08"):
             upper_bound_general(near, su2_generators(s))
-        with pytest.raises(ValueError, match="not covariant: commutator residual 1.00e-08"):
+        res = np.max(np.abs(near.jamiolkowski - twirl(near, s, s).jamiolkowski))
+        assert TOL.tol_eq < res < 1e-8
+        with pytest.raises(ValueError, match=re.escape(f"not covariant: twirl residual {res:.2e}")):
             decompose(near, s, s)
 
     def test_not_applicable_when_output_larger_and_condition_fails(self):

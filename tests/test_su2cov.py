@@ -396,6 +396,95 @@ class TestSimplexProperties:
         assert np.max(np.abs(np.array(back.weights) - list(traces.values()))) <= 1e-12
 
 
+def dense_twirl_residual(channel, spin_in, spin_out) -> float:
+    """max |J - sum_L tr(Pi_L J) Pi_L / (2L+1)| from the Casimir eigenprojectors."""
+    j = channel.jamiolkowski
+    twirled = sum(np.trace(p @ j).real / (two_l + 1) * p
+                  for two_l, p in casimir_projectors(spin_in, spin_out).items())
+    return float(np.max(np.abs(j - twirled)))
+
+
+def mixed_with_random(spin_in, spin_out, eps, rng) -> QuantumChannel:
+    """(1 - eps) times a covariant channel plus eps times a random channel."""
+    cov = covariant_channel(random_mixture(spin_in, spin_out, rng)).jamiolkowski
+    other = random_channel(spin_in.dim, spin_out.dim, spin_in.dim, rng).jamiolkowski
+    return QuantumChannel(spin_in.dim, spin_out.dim, jamiolkowski=(1 - eps) * cov + eps * other)
+
+
+def reported_residual(excinfo) -> float:
+    message = str(excinfo.value)
+    assert message.startswith("channel is not covariant: twirl residual ")
+    return float(message.rsplit(" ", 1)[1])
+
+
+class TestCovarianceByProjection:
+    """decompose's rule, max |J - twirl(J)| <= tol_eq, against the commutator
+    residual and against the dense Casimir projectors."""
+
+    @given(st.integers(0, 10), st.integers(1, 10),
+           st.one_of(st.just(0.0), st.floats(-10, -2).map(lambda x: 10.0**x)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_vanishes_with_the_commutator_and_grows_linearly(self, two_ja, two_jb, eps, seed):
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+
+        def residuals(weight):
+            e = mixed_with_random(sa, sb, weight, np.random.default_rng(seed))
+            projection = np.max(np.abs(e.jamiolkowski - twirl(e, sa, sb).jamiolkowski))
+            return projection, covariance_residual(e, spin_operators(sa), spin_operators(sb))
+
+        projection, commutator = residuals(eps)
+        assert (projection <= 1e-14) == (commutator <= 1e-14)
+        for now, full in zip((projection, commutator), residuals(1.0)):
+            assert full > 1e-3  # the random channel is far from covariant
+            assert abs(now - eps * full) <= 1e-14 + 1e-10 * eps * full
+
+    @given(st.integers(0, 10), st.integers(1, 10), st.sampled_from([0.1, 10.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_decompose_rejects_exactly_beyond_tol_eq(self, two_ja, two_jb, scale, seed):
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+        full = dense_twirl_residual(mixed_with_random(sa, sb, 1.0, np.random.default_rng(seed)),
+                                    sa, sb)
+        e = mixed_with_random(sa, sb, scale * TOL.tol_eq / full, np.random.default_rng(seed))
+        res = dense_twirl_residual(e, sa, sb)
+        assert abs(res - scale * TOL.tol_eq) <= 1e-3 * res
+        if scale < 1:
+            assert abs(sum(decompose(e, sa, sb).weights) - 1) <= 1e-12
+            return
+        with pytest.raises(ValueError) as excinfo:
+            decompose(e, sa, sb)
+        assert abs(reported_residual(excinfo) - res) <= 1e-2 * res
+
+    @pytest.mark.parametrize("two_ja, two_jb", [(1, 1), (2, 1), (1, 4), (6, 6)])
+    def test_decompose_sees_entries_between_labels(self, two_ja, two_jb):
+        # J = C + eps (|a><b| + |b><a|) with a = (m_out, m_in) = (j_out, j_in) and
+        # b = (j_out - 1, j_in): different J_z labels, and different m_out, so the
+        # trace over the output keeps J trace preserving.  twirl(J) = C, so the
+        # residual is eps, all of it between labels.
+        sa, sb = SpinJ(two_ja), SpinJ(two_jb)
+        n = len(coupled_labels(sa, sb))
+        j = covariant_channel(CovariantMixture(sa, sb, (1 / n,) * n)).jamiolkowski.copy()
+        eps = 10 * TOL.tol_eq
+        j[0, sa.dim] = j[sa.dim, 0] = eps
+        e = QuantumChannel(sa.dim, sb.dim, jamiolkowski=j)
+        with pytest.raises(ValueError) as excinfo:
+            decompose(e, sa, sb)
+        assert abs(reported_residual(excinfo) - eps) <= 1e-2 * eps
+
+    @pytest.mark.parametrize("function", [decompose, twirl])
+    @pytest.mark.parametrize("d_in, d_out, two_j_in, two_j_out, dims", [
+        (4, 4, 1, 1, r"\(4, 4\) does not match the spins' \(2, 2\)"),
+        (2, 2, 3, 3, r"\(2, 2\) does not match the spins' \(4, 4\)"),
+        (2, 3, 1, 1, r"\(2, 3\) does not match the spins' \(2, 2\)"),
+    ])
+    def test_rejects_dimensions_other_than_the_spins(self, function, d_in, d_out, two_j_in,
+                                                     two_j_out, dims):
+        e = random_channel(d_in, d_out, 2, 1)
+        with pytest.raises(ValueError, match=r"channel \(d_in, d_out\) = " + dims):
+            function(e, SpinJ(two_j_in), SpinJ(two_j_out))
+
+
 def _eig_pairs(rho):
     w, v = np.linalg.eigh(rho)
     keep = w > 1e-12

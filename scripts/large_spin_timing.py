@@ -22,13 +22,13 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from noetherlab import metrics, su2cov  # noqa: E402
-from noetherlab.su2rep import SpinJ, ito_basis  # noqa: E402
+from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis  # noqa: E402
 
 
 def run(two_j: int, seed: int) -> str:
     spin = SpinJ(two_j)
     ito_basis(spin, spin)
-    n = len(su2cov.coupled_labels(spin, spin))
+    n = len(coupled_labels(spin, spin))
     weights = np.random.default_rng(seed).dirichlet([0.7] * n)
     mix = su2cov.CovariantMixture(spin, spin, tuple(weights))
     t0 = time.perf_counter()

@@ -213,8 +213,9 @@ class QuantumChannel:
 
         def dec(m, what="matrix"):
             for z in (z for row in as_list(m) for z in as_list(row)):
-                if not (isinstance(z, list) and len(z) == 2 and all(
-                        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)):
+                # float() of an int from 2**1024 - 2**970 on (a JSON literal can be one) overflows
+                if not (isinstance(z, list) and len(z) == 2 and all(isinstance(x, float) or (
+                        type(x) is int and abs(x) < 2**1024 - 2**970) for x in z)):
                     raise ValueError(f"channel entry {z!r} is not a [re, im] pair of numbers")
             for i in (i for i, row in enumerate(m) if len(row) != len(m[0])):
                 raise ValueError(f"channel {what} row {i} has {len(m[i])} entries, not {len(m[0])}")

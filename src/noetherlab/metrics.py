@@ -16,8 +16,8 @@ import numpy as np
 
 from .chan import QuantumChannel
 from .numkit import TOL, is_hermitian, purity
-from .su2cov import CovariantMixture, check_weights, coupled_labels
-from .su2rep import SpinJ, spin_operators
+from .su2cov import CovariantMixture, check_weights
+from .su2rep import SpinJ, coupled_labels, spin_operators
 
 __all__ = [
     "GeneratorSet",

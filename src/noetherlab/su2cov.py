@@ -42,8 +42,8 @@ __all__ = [
 
 
 def _in_simplex(lowest, total):
-    """No entry below -tol_eq and a sum within tol_sum of 1 (elementwise on arrays)."""
-    return (lowest >= -TOL.tol_eq) & (abs(total - 1.0) <= TOL.tol_sum)
+    """No entry below -tol_psd and a sum within tol_sum of 1 (elementwise on arrays)."""
+    return (lowest >= -TOL.tol_psd) & (abs(total - 1.0) <= TOL.tol_sum)
 
 
 def check_weights(weights, spin_in: SpinJ, spin_out: SpinJ) -> np.ndarray:

@@ -10,9 +10,8 @@ import numpy as np
 
 from noetherlab.chan import QuantumChannel
 from noetherlab.numkit import as_rng, dagger, is_hermitian
-from noetherlab.su2cov import (CovariantMixture, coupled_labels, polarization_factor,
-                               scaling_coefficient)
-from noetherlab.su2rep import SpinJ, spin_operators
+from noetherlab.su2cov import CovariantMixture, polarization_factor, scaling_coefficient
+from noetherlab.su2rep import SpinJ, coupled_labels, spin_operators
 from noetherlab.u1cov import EnergySpectrum, U1BlockChannel
 
 

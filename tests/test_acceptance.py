@@ -24,7 +24,6 @@ from noetherlab.metrics import (
 )
 from noetherlab.su2cov import (
     CovariantMixture,
-    coupled_labels,
     covariant_channel,
     environment_spin_generators,
     extremal_channel,
@@ -35,7 +34,7 @@ from noetherlab.su2cov import (
     spin_polarization,
     time_reversal_fidelity,
 )
-from noetherlab.su2rep import SpinJ, cg, spin_operators
+from noetherlab.su2rep import SpinJ, cg, coupled_labels, spin_operators
 from noetherlab.u1cov import EnergySpectrum
 from support import dephasing_channel, pure_mixture
 

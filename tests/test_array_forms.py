@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from noetherlab.bounds import su2_bound_checks, su2_bounds, u1_cap
 from noetherlab.metrics import deviation_su2_closed, su2_closed_forms, unitarity_su2_closed
-from noetherlab.su2cov import CovariantMixture, check_weights, coupled_labels
-from noetherlab.su2rep import SpinJ
+from noetherlab.su2cov import CovariantMixture, check_weights
+from noetherlab.su2rep import SpinJ, coupled_labels
 from noetherlab.u1cov import (
     EnergySpectrum,
     assert_stochastic,

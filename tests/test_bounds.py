@@ -20,14 +20,13 @@ from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_s
 from noetherlab.numkit import TOL, haar_isometry
 from noetherlab.su2cov import (
     CovariantMixture,
-    coupled_labels,
     covariant_channel,
     decompose,
     extremal_channel,
     polarization_factor,
     twirl,
 )
-from noetherlab.su2rep import SpinJ, spin_operators
+from noetherlab.su2rep import SpinJ, coupled_labels, spin_operators
 from noetherlab.u1cov import EnergySpectrum, build_extremal, u1_deviation
 from support import dephasing_channel, identity_channel, pure_mixture, unitary_channel
 

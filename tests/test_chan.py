@@ -315,8 +315,11 @@ class TestChannelFile:
         ({"d_in": True, "d_out": 1, "data": [[[[1.0, 0.0]]]]}, "d_in=True"),
         ({"d_out": 2.0}, "d_out=2.0"),
         ({"repr": "choi"}, "unknown representation 'choi'"),
+        ({"repr": "jamiolkowski", "data": [[[10**400, 0]]]},
+         r"^channel entry \[1000+, 0\] is not a \[re, im\] pair of numbers$"),
     ], ids=["no_repr", "no_data", "int_liouville", "int_kraus", "kraus_of_numbers",
-            "string_entry", "triple_entry", "bool_d_in", "float_d_out", "unknown_repr"])
+            "string_entry", "triple_entry", "bool_d_in", "float_d_out", "unknown_repr",
+            "int_beyond_float"])
     def test_malformed_file_is_a_value_error(self, tmp_path, changes, message):
         obj = {**identity_channel(2).to_json_dict("kraus"), **changes}
         obj = {key: value for key, value in obj.items() if value is not None}
@@ -340,6 +343,22 @@ class TestChannelFile:
     def test_non_object_is_a_value_error(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             QuantumChannel.from_json_dict([])
+
+    @pytest.mark.parametrize("value, named", [
+        (2**1024 - 2**970 - 1, "matrix row 1"),
+        (2**1024 - 2**970, "entry"),
+        (-(2**1024 - 2**970), "entry"),
+    ], ids=["largest_int_to_float", "first_overflow", "first_negative_overflow"])
+    def test_int_entries_end_where_float_overflows(self, value, named):
+        if named == "entry":
+            with pytest.raises(OverflowError):
+                float(value)
+        else:
+            assert float(value) == np.finfo(float).max
+        # the ragged row 1 stops the reader after the entry check, before any conversion
+        obj = {"d_in": 1, "d_out": 1, "repr": "liouville", "data": [[[value, 0]], [[0, 0], [0, 0]]]}
+        with pytest.raises(ValueError, match=f"^channel {named} "):
+            QuantumChannel.from_json_dict(obj)
 
 
 def dense_covariance_residual(channel, gens_in, gens_out):

@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -42,13 +43,29 @@ def assert_usage_error(code, out, err):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def simplex_tuples(n_parts, n_steps):
+    """The simplex grid one tuple at a time: per placement of n_parts - 1 bars in
+    n_steps + n_parts - 1 slots, entry k is the count of free slots between bars k - 1
+    and k, over n_steps, with bars at -1 and n_steps + n_parts - 1 at the ends."""
+    for bars in itertools.combinations(range(n_steps + n_parts - 1), n_parts - 1):
+        edges = (-1, *bars, n_steps + n_parts - 1)
+        yield tuple((b - a - 1) / n_steps for a, b in zip(edges, edges[1:]))
+
+
 class TestSimplexGrid:
     def test_vertices_at_unit_step(self):
-        assert sorted(simplex_grid(2, 1)) == [(0.0, 1.0), (1.0, 0.0)]
+        assert sorted(simplex_grid(2, 1).tolist()) == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_counts(self):
         # compositions of 4 into 3 parts: C(6, 2) = 15
-        assert len(list(simplex_grid(3, 4))) == 15
+        assert simplex_grid(3, 4).shape == (15, 3)
+
+    @pytest.mark.parametrize("n_parts, n_steps", [(1, 1), (1, 7), (2, 1), (3, 4), (5, 20), (9, 4)])
+    def test_bit_identical_to_tuple_rows(self, n_parts, n_steps):
+        expected = np.array(list(simplex_tuples(n_parts, n_steps))).reshape(-1, n_parts)
+        grid = simplex_grid(n_parts, n_steps)
+        assert grid.dtype == np.float64 and grid.shape == expected.shape
+        assert grid.tobytes() == expected.tobytes()
 
     def test_rows_sum_to_one(self):
         for w in simplex_grid(4, 5):
@@ -464,7 +481,7 @@ class TestExecutionOrder:
 
         reference = su2_tradeoff_records(3, 0.2).records()
         forward = cli.simplex_grid
-        monkeypatch.setattr(cli, "simplex_grid", lambda n, steps: reversed(list(forward(n, steps))))
+        monkeypatch.setattr(cli, "simplex_grid", lambda n, steps: forward(n, steps)[::-1])
         assert su2_tradeoff_records(3, 0.2).records() == reference[::-1]
 
 
@@ -472,7 +489,7 @@ def su2_rows_one_by_one(two_j, grid):
     """The su2 sweep rebuilt from the scalar functions, one grid point at a time."""
     spin = SpinJ(two_j)
     rows = []
-    for weights in simplex_grid(two_j + 1, round(1 / grid)):
+    for weights in simplex_tuples(two_j + 1, round(1 / grid)):
         mix = CovariantMixture(spin, spin, weights)
         lo, up = bnd.su2_bounds(mix)
         params = {"two_j": two_j, **{f"p_{i}": w for i, w in enumerate(weights)}}

@@ -12,9 +12,8 @@ from noetherlab import numkit
 from noetherlab.chan import ChannelValidationError, QuantumChannel, random_channel
 from noetherlab.metrics import unitarity_complementary, unitarity_jamiolkowski
 from noetherlab.numkit import pair_labels
-from noetherlab.su2cov import (CovariantMixture, coupled_labels, covariant_channel,
-                               extremal_channel, twirl)
-from noetherlab.su2rep import SpinJ, ito_basis
+from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel, twirl
+from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis
 from noetherlab.u1cov import EnergySpectrum, U1BlockChannel, build_extremal
 from support import dephasing_channel
 

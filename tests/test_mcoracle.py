@@ -11,8 +11,8 @@ from noetherlab.metrics import (
     unitarity_jamiolkowski,
 )
 from noetherlab.numkit import haar_pure_batch, vectorize
-from noetherlab.su2cov import CovariantMixture, coupled_labels, covariant_channel, extremal_channel
-from noetherlab.su2rep import SpinJ
+from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
+from noetherlab.su2rep import SpinJ, coupled_labels
 from noetherlab.u1cov import EnergySpectrum, build_extremal
 from support import depolarizing_channel, identity_channel
 

@@ -21,8 +21,8 @@ from noetherlab.metrics import (
     unitarity_su2_closed,
 )
 from noetherlab.numkit import haar_isometry, purity
-from noetherlab.su2cov import CovariantMixture, coupled_labels, covariant_channel, extremal_channel
-from noetherlab.su2rep import SpinJ
+from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
+from noetherlab.su2rep import SpinJ, coupled_labels
 from noetherlab.u1cov import EnergySpectrum, build_extremal
 from support import (depolarizing_channel, identity_channel, mat_exp_skew_hermitian,
                      pure_mixture, unitary_channel)

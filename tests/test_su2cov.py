@@ -14,11 +14,11 @@ from noetherlab.chan import (
     max_action_deviation,
     random_channel,
 )
-from noetherlab.numkit import TOL, dagger, haar_isometry, haar_pure_batch
+from noetherlab import su2cov
+from noetherlab.numkit import TOL, Tolerances, dagger, haar_isometry, haar_pure_batch
 from noetherlab.su2cov import (
     CovariantMixture,
     check_weights,
-    coupled_labels,
     covariant_channel,
     decompose,
     environment_spin_generators,
@@ -32,7 +32,7 @@ from noetherlab.su2cov import (
     time_reversal_fidelity,
     twirl,
 )
-from noetherlab.su2rep import SpinJ, cg, ito_basis, spin_operators
+from noetherlab.su2rep import SpinJ, cg, coupled_labels, ito_basis, spin_operators
 from support import (f1_explicit, pure_mixture, random_rotation_vector, rotation_unitary,
                      scaling_vector, spin_norm, unitary_channel)
 
@@ -255,8 +255,8 @@ class TestMixtureMatchesCheckWeights:
             assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     @pytest.mark.parametrize("weights, accepted", [
-        ((-TOL.tol_eq, 0.5, 0.5 + TOL.tol_eq), True),
-        ((-TOL.tol_eq - 1e-12, 0.5, 0.5 + TOL.tol_eq + 1e-12), False),
+        ((-TOL.tol_psd, 0.5, 0.5 + TOL.tol_psd), True),
+        ((-TOL.tol_psd - 1e-12, 0.5, 0.5 + TOL.tol_psd + 1e-12), False),
         ((0.5, 0.5, TOL.tol_sum - 1e-9), True),
         ((0.5, 0.5 - TOL.tol_sum + 1e-9, 0.0), True),
         ((0.5, 0.5, TOL.tol_sum + 1e-9), False),
@@ -277,6 +277,15 @@ class TestMixtureMatchesCheckWeights:
         else:
             with pytest.raises(ValueError, match="probability distribution"):
                 check_weights(stack, spin, spin)
+
+    @pytest.mark.parametrize("tol_psd, tol_eq, accepted", [(1e-6, 1e-12, True), (1e-12, 1e-6, False)],
+                             ids=["psd_wide", "psd_narrow"])
+    def test_weight_floor_is_tol_psd(self, monkeypatch, tol_psd, tol_eq, accepted):
+        # a weight of -1e-7 lies between the two fields: only tol_psd may decide it
+        monkeypatch.setattr(su2cov, "TOL", Tolerances(tol_psd=tol_psd, tol_eq=tol_eq))
+        spin, weights = SpinJ(2), (-1e-7, 0.5, 0.5 + 1e-7)
+        assert (mixture_weights(weights, spin) is not None) == accepted
+        assert (stack_weights(weights, spin) is not None) == accepted
 
 
 class TestTwirl:

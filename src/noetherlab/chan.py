@@ -10,8 +10,8 @@ Liouville product each.
 The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
 with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``.  Optional
 ``labels`` give each index r * d_in + c of J an integer (a Bohr frequency, or
-m_out - m_in): J must vanish between different labels, and its positivity
-check and Kraus operators take one eigenproblem per label.
+m_out - m_in): J must vanish between different labels, and its Hermiticity
+and positivity checks and Kraus operators then go one label block at a time.
 """
 
 from __future__ import annotations
@@ -111,20 +111,21 @@ class QuantumChannel:
         # validation: complete positivity and trace preservation, read off J
         if not np.all(np.isfinite(j)):
             raise ChannelValidationError("channel representation has non-finite entries")
-        herm = float(np.max(np.abs(j - dagger(j))))
-        if herm > TOL.tol_herm:
-            raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
-        self._blocks = [(slice(None), j)]  # (index, J block) per label, ascending
+        self._blocks, coupled = [(slice(None), j)], False  # (index, J block) per label, ascending
         if labels is not None:
             labels = np.asarray(labels)
             if labels.shape != (n,):
                 raise ValueError(f"labels must be {n} integers, one per Jamiolkowski index")
-            if np.any((labels[:, None] != labels) & (j != 0)):
-                raise ChannelValidationError("Jamiolkowski state couples different labels")
-            if n >= _BLOCKED_FROM:
+            coupled = bool(np.any((labels[:, None] != labels) & (j != 0)))
+            if n >= _BLOCKED_FROM and not coupled:
                 order = np.argsort(labels, kind="stable")
                 self._blocks = [(i, j[np.ix_(i, i)]) for i in
                                 np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
+        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self._blocks)
+        if herm > TOL.tol_herm:
+            raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
+        if coupled:
+            raise ChannelValidationError("Jamiolkowski state couples different labels")
         self.cp_min_eig = min(float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
                               for _, b in self._blocks)
         if self.cp_min_eig < -TOL.tol_psd:

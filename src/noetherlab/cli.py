@@ -37,9 +37,15 @@ _CSV_TAIL = ["delta", "sqrt_delta", "unitarity", "one_minus_u", "bound_lower", "
 def simplex_grid(n_parts: int, n_steps: int) -> np.ndarray:
     """All probability vectors with n_parts entries on a 1/n_steps grid, one per row, in a fixed
     lexicographic order; their running sums are the sorted n_parts-tuples of 0..n_steps from 0."""
+    if n_parts < 1 or n_steps < 1:
+        raise ValueError(f"n_parts and n_steps must be >= 1, got {n_parts} and {n_steps}")
     sums = chain.from_iterable(combinations_with_replacement(range(n_steps + 1), n_parts))
-    sums = np.fromiter(sums, float, n_parts * math.comb(n_steps + n_parts - 1, n_steps))
-    return np.diff(sums.reshape(-1, n_parts), append=n_steps) / n_steps
+    w = np.fromiter(sums, float, n_parts * math.comb(n_steps + n_parts - 1, n_steps))
+    w = w.reshape(-1, n_parts)  # running sums, differenced in place into the weights
+    w[:, :-1] = w[:, 1:] - w[:, :-1]
+    w[:, -1] = n_steps - w[:, -1]
+    w /= n_steps
+    return w
 
 
 def _grid_steps(grid: float) -> int:

@@ -59,6 +59,7 @@ def _reduce(block_fn, d: int, samples: int, seed: int) -> McEstimate:
     for child, size in zip(seq.spawn(len(sizes)), sizes):
         psi = haar_pure_batch(d, size, np.random.default_rng(child))
         values = np.concatenate([block_fn(psi[s:s + _BLOCK]) for s in range(0, size, _BLOCK)])
+        del psi  # one chunk's states are live at a time
         total += float(np.sum(values))
         total_sq += float(np.sum(values * values))
     mean = total / samples

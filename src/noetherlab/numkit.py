@@ -113,15 +113,22 @@ def as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.rando
     return np.random.default_rng(seed)
 
 
+_ROWS = 2_048  # haar_pure_batch normalises this many rows at a time: its temporaries stay small
+
+
 def haar_pure_batch(d: int, n: int, seed) -> np.ndarray:
-    """n Haar-random pure states as rows of an (n, d) array."""
+    """n Haar-random pure states as rows of an (n, d) array, normalised in place."""
     v = ginibre(n, d, seed)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    for s in range(0, n, _ROWS):
+        v[s:s + _ROWS] /= np.linalg.norm(v[s:s + _ROWS], axis=1, keepdims=True)
+    return v
 
 
 def ginibre(rows: int, cols: int, seed) -> np.ndarray:
-    rng = as_rng(seed)
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    rng, v = as_rng(seed), np.empty((rows, cols), dtype=complex)
+    v.real = rng.standard_normal((rows, cols))  # all real parts are drawn first
+    v.imag = rng.standard_normal((rows, cols))
+    return v
 
 
 def haar_isometry(rows: int, cols: int, seed) -> np.ndarray:

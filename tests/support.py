@@ -1,10 +1,14 @@
 """Fixtures and oracles the tests build from the package's primitives.
 
 The fixtures are channels (identity, unitary, depolarizing, dephasing) and the
-simplex vertices as mixtures.  The oracles share no code path with what they
-check: rotation unitaries and spin-coherent states by matrix exponential, and
-f_1 = kappa ||J_in|| / ||J_out|| from the rational polarization factor.
+simplex vertices as mixtures; ``peak_bytes`` measures a call's traced peak.
+The oracles share no code path with what they check: rotation unitaries and
+spin-coherent states by matrix exponential, and f_1 = kappa ||J_in|| / ||J_out||
+from the rational polarization factor.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 
@@ -103,3 +107,14 @@ def scaling_vector(mix: CovariantMixture) -> np.ndarray:
             for two_lc, p in zip(labels, mix.weights))
         for two_l in two_ls
     ])
+
+
+def peak_bytes(fn) -> int:
+    """The peak bytes allocated during one call ``fn()``, as tracemalloc (started for it) sees."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -26,6 +26,7 @@ from noetherlab.cli import (
 from noetherlab.numkit import TOL
 from noetherlab.su2cov import CovariantMixture, extremal_channel
 from noetherlab.su2rep import SpinJ
+from support import peak_bytes
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent
                      / "docs" / "tradeoff_record.schema.json").read_text())
@@ -70,6 +71,18 @@ class TestSimplexGrid:
     def test_rows_sum_to_one(self):
         for w in simplex_grid(4, 5):
             assert abs(sum(w) - 1) < 1e-12
+
+    @pytest.mark.parametrize("n_parts, n_steps", [(2, 0), (0, 3), (-1, 3), (3, -2)])
+    def test_rejects_a_count_below_one(self, n_parts, n_steps):
+        message = rf"n_parts and n_steps must be >= 1, got {n_parts} and {n_steps}$"
+        with pytest.raises(ValueError, match=message):
+            simplex_grid(n_parts, n_steps)
+
+    @pytest.mark.parametrize("n_parts, n_steps", [(5, 20), (3, 500)])
+    def test_peak_below_two_and_a_half_results(self, n_parts, n_steps):
+        # the grids of su2 tradeoff --two-j 4 --grid 0.05 and --two-j 2 --grid 0.002
+        result = simplex_grid(n_parts, n_steps).nbytes
+        assert peak_bytes(lambda: simplex_grid(n_parts, n_steps)) < 2.5 * result
 
 
 class TestSu2Tradeoff:

@@ -15,7 +15,7 @@ from noetherlab.numkit import pair_labels
 from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel, twirl
 from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis
 from noetherlab.u1cov import EnergySpectrum, U1BlockChannel, build_extremal
-from support import dephasing_channel
+from support import dephasing_channel, peak_bytes
 
 TOL = 1e-12
 
@@ -167,6 +167,46 @@ def test_rejects_labels_of_wrong_length(length):
     j = covariant_channel(mixture(spin, spin, 5, False)).jamiolkowski
     with pytest.raises(ValueError, match="labels must be 64 integers"):
         QuantumChannel(spin.dim, spin.dim, jamiolkowski=j, labels=np.zeros(length, dtype=int))
+
+
+def hermiticity_error(spin: SpinJ, j: np.ndarray, labels=None) -> str:
+    with pytest.raises(ChannelValidationError, match="not Hermitian") as err:
+        QuantumChannel(spin.dim, spin.dim, jamiolkowski=j, labels=labels)
+    return str(err.value)
+
+
+def test_asymmetric_entry_in_any_block_reports_the_dense_residual():
+    # J has 64 rows, so Hermiticity is checked one label block at a time, the last one too
+    spin = SpinJ(7)
+    labels = jz_labels(spin, spin)
+    base = covariant_channel(mixture(spin, spin, 7, False)).jamiolkowski
+    assert len(labels) >= 64
+    for label in np.unique(labels):
+        index = np.flatnonzero(labels == label)
+        j = base.copy()
+        j[index[0], index[-1]] += 3e-7j  # on the diagonal when the block has one index
+        message = hermiticity_error(spin, j, labels)
+        assert message == hermiticity_error(spin, j)
+        assert message.endswith(f"(residual {6e-7 if len(index) == 1 else 3e-7:.2e})")
+
+
+# spin (7, 7) gives J 64 rows (per-label blocks), spin (4, 4) 25 rows (one block)
+@pytest.mark.parametrize("two_j", [7, 4])
+def test_off_label_and_non_hermitian_reports_hermiticity_first(two_j):
+    spin = SpinJ(two_j)
+    labels = jz_labels(spin, spin)
+    j = covariant_channel(mixture(spin, spin, 8, False)).jamiolkowski.copy()
+    j[0, int(np.flatnonzero(labels != labels[0])[0])] = 1e-3  # its transpose entry stays 0
+    assert hermiticity_error(spin, j, labels) == hermiticity_error(spin, j)
+
+
+def test_labelled_channel_from_j_peaks_below_one_and_a_half_j():
+    # two_j = 20: J is 441 x 441 complex, 3.1 MB; the stored copy alone is 1.0 J
+    spin = SpinJ(20)
+    labels = jz_labels(spin, spin)
+    j = covariant_channel(mixture(spin, spin, 9, False)).jamiolkowski
+    peak = peak_bytes(lambda: QuantumChannel(spin.dim, spin.dim, jamiolkowski=j, labels=labels))
+    assert peak < 1.5 * j.nbytes
 
 
 def test_u1_channel_checks_labels_before_positivity():

@@ -10,6 +10,7 @@ from noetherlab.chan import (
 from noetherlab.mcoracle import mc_unitarity
 from noetherlab.metrics import (
     GeneratorSet,
+    _maximally_mixed_output,
     delta_generators,
     deviation_avg,
     deviation_su2_closed,
@@ -25,7 +26,7 @@ from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_chan
 from noetherlab.su2rep import SpinJ, coupled_labels
 from noetherlab.u1cov import EnergySpectrum, build_extremal
 from support import (depolarizing_channel, identity_channel, mat_exp_skew_hermitian,
-                     pure_mixture, unitary_channel)
+                     peak_bytes, pure_mixture, unitary_channel)
 
 
 class TestUnitarity:
@@ -186,6 +187,34 @@ class TestQubitIdentity:
             sd = np.sqrt(deviation_su2_closed(mix))
             worst = max(worst, abs(u - (1 - 4 * sd * (1 - sd))))
         assert worst < 1e-10
+
+
+class TestMaximallyMixedOutput:
+    """E(I/d_in) read off J.  A covariant SU(2) channel maps I/d to I/d_out, which the
+    partial trace over the output factor also gives, so random channels with d_in != d_out
+    in both directions are what tell the two factors apart."""
+
+    @pytest.mark.parametrize("d_in, d_out, rank", [(2, 3, 1), (3, 2, 2), (2, 5, 3), (4, 3, 2),
+                                                   (5, 2, 4), (3, 3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_apply_on_the_maximally_mixed_state(self, d_in, d_out, rank, seed):
+        ch = random_channel(d_in, d_out, rank, seed)
+        got = _maximally_mixed_output(ch)
+        assert got.shape == (d_out, d_out)
+        assert np.max(np.abs(got - ch.apply(np.eye(d_in) / d_in))) <= 1e-15
+
+    def test_unitarity_derives_no_liouville_matrix(self):
+        ch = covariant_channel(pure_mixture(SpinJ(4), SpinJ(4), 4))
+        unitarity_jamiolkowski(ch)
+        purity_condition_holds(ch)
+        assert ch._liouville is None
+
+    def test_unitarity_jamiolkowski_peaks_below_a_tenth_of_j(self):
+        # two_j = 20: J is 441 x 441 complex, 3.1 MB
+        spin = SpinJ(20)
+        weights = np.random.default_rng(10).dirichlet([0.7] * len(coupled_labels(spin, spin)))
+        ch = covariant_channel(CovariantMixture(spin, spin, tuple(weights)))
+        assert peak_bytes(lambda: unitarity_jamiolkowski(ch)) < 0.1 * ch.jamiolkowski.nbytes
 
 
 class TestPurityCondition:

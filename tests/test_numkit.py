@@ -142,6 +142,18 @@ class TestHaar:
         exact = (np.eye(4) + swap) / (d * (d + 1))
         assert np.max(np.abs(second - exact)) < 3.0 / np.sqrt(n)
 
+    # one block of haar_pure_batch's in-place normalisation is 2,048 rows
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 20_000])
+    @pytest.mark.parametrize("d", [2, 10, 21])
+    def test_bit_identical_to_one_division_of_the_draws(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        v = a + 1j * b
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert ginibre(n, d, n * 100 + d).tobytes() == v.tobytes()
+        got = haar_pure_batch(d, n, n * 100 + d)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_seed_determinism(self):
         assert np.array_equal(haar_pure_batch(5, 1, 123)[0], haar_pure_batch(5, 1, 123)[0])
 

@@ -8,10 +8,12 @@ depends on the order the forms are read; ``apply`` and ``apply_adjoint`` are one
 Liouville product each.
 
 The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
-with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``.  Optional
-``labels`` give each index r * d_in + c of J an integer (a Bohr frequency, or
-m_out - m_in): J must vanish between different labels, and its Hermiticity
-and positivity checks and Kraus operators then go one label block at a time.
+with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``; the
+Liouville matrix of row-stacked vectors is ``L[ab, cd] = d_in J[ac, bd]``, and
+both conversions live here.  Optional ``labels`` give each index r * d_in + c of
+J an integer (a Bohr frequency, or m_out - m_in): J must vanish between
+different labels, and its Hermiticity and positivity checks and Kraus
+operators then go one label block at a time.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ import json
 
 import numpy as np
 
-from .numkit import (
-    TOL,
-    dagger,
-    haar_isometry,
-    partial_trace,
-    reshuffle,
-    unvectorize,
-    vectorize,
-)
+from .numkit import TOL, dagger, haar_isometry
 
 __all__ = [
     "ChannelValidationError",
@@ -50,8 +44,14 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _jamiolkowski_from_liouville(m: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
+    """J of a (d_out^2) x (d_in^2) Liouville matrix: ``|ab><cd| -> |ac><bd|``, over d_in."""
+    split = m.reshape(d_out, d_out, d_in, d_in).transpose(0, 2, 1, 3)
+    return split.reshape(d_out * d_in, d_out * d_in) / d_in
+
+
 def _liouville_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> np.ndarray:
-    """d_in times the inverse of :func:`noetherlab.numkit.reshuffle`, read-only."""
+    """The inverse of :func:`_jamiolkowski_from_liouville`, read-only."""
     split = j.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
     return _sealed(split.reshape(d_out**2, d_in**2) * d_in)
 
@@ -69,7 +69,7 @@ def _kraus_from_blocks(blocks, d_out: int, d_in: int) -> list[np.ndarray]:
     for index, block in blocks:
         w[pos:pos + len(block)], vecs[index, pos:pos + len(block)] = np.linalg.eigh(block)
         pos += len(block)
-    return [_sealed(np.sqrt(d_in * w[i]) * unvectorize(vecs[:, i], d_out, d_in))
+    return [_sealed(np.sqrt(d_in * w[i]) * vecs[:, i].reshape(d_out, d_in))
             for i in np.argsort(w, kind="stable") if w[i] > TOL.tol_psd]
 
 
@@ -102,7 +102,7 @@ class QuantumChannel:
             if m.shape != (self.d_out**2, self.d_in**2):
                 raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
             self._liouville = _sealed(m)
-            jamiolkowski = reshuffle(m, self.d_out, self.d_in) / self.d_in
+            jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
         j = _sealed(np.array(jamiolkowski, dtype=complex))
         n = self.d_out * self.d_in
         if j.shape != (n, n):
@@ -131,7 +131,7 @@ class QuantumChannel:
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        marginal = partial_trace(j, self.d_out, self.d_in)
+        marginal = np.einsum("iaib->ab", j.reshape(self.d_out, self.d_in, self.d_out, self.d_in))
         self.tp_residual = float(np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in)))
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(
@@ -173,14 +173,14 @@ class QuantumChannel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.d_in, self.d_in):
             raise ValueError(f"state must be {self.d_in} x {self.d_in}")
-        return unvectorize(self.liouville @ vectorize(rho), self.d_out)
+        return (self.liouville @ rho.reshape(-1)).reshape(self.d_out, self.d_out)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action: tr(E(X) Y) = tr(X E_adj(Y))."""
         y = np.asarray(y, dtype=complex)
         if y.shape != (self.d_out, self.d_out):
             raise ValueError(f"observable must be {self.d_out} x {self.d_out}")
-        return unvectorize(dagger(self.liouville) @ vectorize(y), self.d_in)
+        return (dagger(self.liouville) @ y.reshape(-1)).reshape(self.d_in, self.d_in)
 
     def complementary(self) -> "QuantumChannel":
         """Trace out the output instead of the environment of the same dilation."""

@@ -1,9 +1,9 @@
-"""Dense complex linear algebra primitives shared by all channel modules.
+"""Shared primitives: tolerances, Hermitian checks, label pairs, purity, Haar draws, row map.
 
 Conventions used throughout the package:
 
 * operators are plain complex numpy arrays in the computational basis,
-* ``vectorize`` stacks rows, i.e. ``|i><j|  ->  |i> (x) |j>``,
+* vectorization stacks rows, i.e. ``|i><j|  ->  |i> (x) |j>``,
 * bipartite objects order the tensor factors output-before-input
   (``B (x) A``), so a channel's Jamiolkowski state lives on ``H_B (x) H_A``.
 """
@@ -18,14 +18,9 @@ __all__ = [
     "Tolerances",
     "TOL",
     "dagger",
-    "vectorize",
-    "unvectorize",
-    "reshuffle",
-    "partial_trace",
     "pair_labels",
     "purity",
     "is_hermitian",
-    "as_rng",
     "haar_pure_batch",
     "haar_isometry",
     "ginibre",
@@ -56,41 +51,6 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().T
 
 
-def vectorize(x: np.ndarray) -> np.ndarray:
-    """Row-stacking vectorization: ``|i><j| -> |i>(x)|j>``.
-
-    With this convention ``<vectorize(X), vectorize(Y)> = tr(X^dag Y)``.
-    """
-    return np.asarray(x).reshape(-1)
-
-
-def unvectorize(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    cols = rows if cols is None else cols
-    return np.asarray(v).reshape(rows, cols)
-
-
-def reshuffle(m: np.ndarray, d_b: int, d_a: int) -> np.ndarray:
-    """Index permutation ``|ab><cd| -> |ac><bd|`` on a (d_b^2) x (d_a^2) matrix.
-
-    Maps a superoperator matrix (row pair in B, column pair in A) to the
-    corresponding bipartite operator on ``H_B (x) H_A`` and is an involution
-    when ``d_a == d_b``.  No normalization is applied.
-    """
-    m = np.asarray(m)
-    if m.shape != (d_b * d_b, d_a * d_a):
-        raise ValueError(f"expected shape {(d_b**2, d_a**2)}, got {m.shape}")
-    return m.reshape(d_b, d_b, d_a, d_a).transpose(0, 2, 1, 3).reshape(d_b * d_a, d_b * d_a)
-
-
-def partial_trace(m: np.ndarray, d_b: int, d_a: int) -> np.ndarray:
-    """tr_B of an operator on ``H_B (x) H_A``: a d_a x d_a matrix with the same trace."""
-    m = np.asarray(m)
-    if m.shape != (d_b * d_a, d_b * d_a):
-        raise ValueError(f"expected shape {(d_b * d_a, d_b * d_a)}, got {m.shape}")
-    return np.einsum("iaib->ab", m.reshape(d_b, d_a, d_b, d_a))
-
-
 def pair_labels(out_levels, in_levels) -> np.ndarray:
     """out_levels[r] - in_levels[c] for each index r * len(in_levels) + c of ``H_out (x) H_in``."""
     return np.subtract.outer(np.asarray(out_levels), np.asarray(in_levels)).ravel()
@@ -106,13 +66,6 @@ def is_hermitian(x: np.ndarray) -> bool:
     return bool(np.max(np.abs(x - dagger(x))) <= TOL.tol_herm)
 
 
-def as_rng(seed: int | np.random.Generator | np.random.SeedSequence) -> np.random.Generator:
-    """Coerce an explicit 64-bit seed (or existing generator) to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 _ROWS = 2_048  # haar_pure_batch normalises this many rows at a time: its temporaries stay small
 
 
@@ -125,7 +78,7 @@ def haar_pure_batch(d: int, n: int, seed) -> np.ndarray:
 
 
 def ginibre(rows: int, cols: int, seed) -> np.ndarray:
-    rng, v = as_rng(seed), np.empty((rows, cols), dtype=complex)
+    rng, v = np.random.default_rng(seed), np.empty((rows, cols), dtype=complex)
     v.real = rng.standard_normal((rows, cols))  # all real parts are drawn first
     v.imag = rng.standard_normal((rows, cols))
     return v

@@ -207,12 +207,10 @@ def kappa_extrema(spin_in: SpinJ, spin_out: SpinJ) -> dict:
     maximum at L = |j_in - j_out|; amplification (kappa > 1) occurs only
     for j_out > j_in.
     """
-    labels = coupled_labels(spin_in, spin_out)
-    kappas = {two_l: polarization_factor(spin_in, spin_out, two_l) for two_l in labels}
-    lo = min(kappas, key=kappas.get)
-    hi = max(kappas, key=kappas.get)
-    return {"kappa_minus": kappas[lo], "kappa_plus": kappas[hi], "two_L_minus": lo,
-            "two_L_plus": hi}
+    labels = coupled_labels(spin_in, spin_out)  # ascending, and kappa falls strictly as L grows
+    lo, hi = labels[-1], labels[0]
+    k_lo, k_hi = (polarization_factor(spin_in, spin_out, two_l) for two_l in (lo, hi))
+    return {"kappa_minus": k_lo, "kappa_plus": k_hi, "two_L_minus": lo, "two_L_plus": hi}
 
 
 def time_reversal_fidelity(spin: SpinJ) -> float:

@@ -108,10 +108,8 @@ def clebsch_gordan(
     if (two_j1 + two_j2 - two_J) % 2 != 0:
         return _ZERO
 
-    # Integer-valued factorial arguments; names follow the Racah formula.
+    # the checks above leave every argument even; names follow the Racah formula
     def f(two_x: int) -> int:
-        if two_x % 2 != 0:
-            raise ValueError("internal: non-integer factorial argument")
         return factorial(two_x // 2)
 
     pref = Fraction(two_J + 1, 1)

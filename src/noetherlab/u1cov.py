@@ -15,6 +15,7 @@ claim is made here.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,7 @@ class EnergySpectrum:
 
     def degeneracy(self) -> int:
         """g: the largest number of level pairs sharing one nonzero Bohr frequency."""
-        labels = self.bohr_labels().tolist()
-        return max(labels.count(b) for b in self.bohr_frequencies() if b != 0)
+        return max(n for b, n in Counter(self.bohr_labels().tolist()).items() if b != 0)
 
 
 def assert_stochastic(p: np.ndarray) -> None:

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 
 from noetherlab.chan import QuantumChannel
-from noetherlab.numkit import as_rng, dagger, is_hermitian
+from noetherlab.numkit import dagger, is_hermitian
 from noetherlab.su2cov import CovariantMixture, polarization_factor, scaling_coefficient
 from noetherlab.su2rep import SpinJ, coupled_labels, spin_operators
 from noetherlab.u1cov import EnergySpectrum, U1BlockChannel
@@ -65,7 +65,7 @@ def rotation_unitary(spin: SpinJ, g: np.ndarray) -> np.ndarray:
 
 def random_rotation_vector(seed) -> np.ndarray:
     """Haar-random SU(2) element in axis-angle form (uniform quaternion)."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     angle = 2.0 * np.arctan2(np.linalg.norm(q[1:]), q[0])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from noetherlab.chan import (
     ChannelValidationError,
     QuantumChannel,
+    _jamiolkowski_from_liouville,
+    _liouville_from_jamiolkowski,
     covariance_residual,
     max_action_deviation,
     random_channel,
@@ -65,6 +67,44 @@ class TestRepresentations:
         j_form = QuantumChannel(2, 3, jamiolkowski=e.jamiolkowski)
         for b in basis:
             assert np.max(np.abs(e.apply(b) - j_form.apply(b))) < 1e-10
+
+
+class TestReshuffle:
+    """The Liouville <-> Jamiolkowski index permutation, in both directions."""
+
+    def test_identity_channel_gives_scaled_bell_projector(self):
+        # the identity's Liouville matrix is I: its J is |Omega><Omega|
+        omega = np.zeros(4)
+        omega[[0, 3]] = 1 / np.sqrt(2)
+        assert np.allclose(_jamiolkowski_from_liouville(np.eye(4), 2, 2), np.outer(omega, omega))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_involution(self, seed):
+        m = ginibre(9, 9, seed)
+        twice = _jamiolkowski_from_liouville(_jamiolkowski_from_liouville(m, 3, 3), 3, 3)
+        assert np.allclose(twice * 9, m)
+
+    def test_matches_choi_from_kraus(self):
+        # independent construction of J = (E (x) I)|Om><Om| from Kraus data
+        d_in, d_out = 3, 2
+        q = haar_isometry(d_out * 2, d_in, 1)
+        ks = [q[i * d_out:(i + 1) * d_out, :] for i in range(2)]
+        lv = sum(np.kron(k, k.conj()) for k in ks)
+        omega = np.zeros(d_in * d_in, dtype=complex)
+        omega[:: d_in + 1] = 1 / np.sqrt(d_in)
+        ext = sum(np.kron(k, np.eye(d_in)) @ np.outer(omega, omega.conj())
+                  @ dagger(np.kron(k, np.eye(d_in))) for k in ks)
+        assert np.allclose(_jamiolkowski_from_liouville(lv, d_out, d_in), ext, atol=1e-12)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2), (1, 4), (4, 2)])
+    def test_conversions_invert_each_other(self, d_in, d_out):
+        e = random_channel(d_in, d_out, 3, d_in * 10 + d_out)
+        j, lv = e.jamiolkowski, e.liouville
+        assert np.max(np.abs(_liouville_from_jamiolkowski(
+            _jamiolkowski_from_liouville(lv, d_out, d_in), d_out, d_in) - lv)) <= 1e-15
+        assert np.max(np.abs(_jamiolkowski_from_liouville(
+            _liouville_from_jamiolkowski(j, d_out, d_in), d_out, d_in) - j)) <= 1e-15
 
 
 class TestStoredFormsReadOnly:
@@ -156,6 +196,15 @@ class TestValidation:
         ks = [np.sqrt(0.9) * np.eye(2)]  # deficient Kraus sum
         with pytest.raises(ChannelValidationError, match="trace preserving"):
             QuantumChannel(2, 2, kraus=ks)
+
+    def test_trace_preservation_reads_the_input_marginal(self):
+        # tr_out J = I/d_in is checked, not tr_in J = E(I)/d_in: a rectangular channel to
+        # |0><0| is not unital, and E(X) = <0|X|0> I is unital but does not preserve trace
+        to_ket0 = QuantumChannel(3, 2, jamiolkowski=np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3))
+        assert to_ket0.tp_residual == 0.0
+        ket0, ket1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+        with pytest.raises(ChannelValidationError, match="not trace preserving"):
+            QuantumChannel(2, 2, kraus=[ket0 @ ket0.T, ket1 @ ket0.T])
 
     def test_non_finite_kraus_rejected(self):
         k = np.eye(2, dtype=complex)

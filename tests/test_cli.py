@@ -398,8 +398,8 @@ class TestVerify:
     def test_transposing_reshuffle_fails_roundtrip(self, monkeypatch):
         # this index order turns a Liouville matrix into J^T instead of J: a
         # valid channel, but not E, so the Liouville leg must see a deviation
-        monkeypatch.setattr(chan, "reshuffle", lambda m, d_b, d_a: np.asarray(m).reshape(
-            d_b, d_b, d_a, d_a).transpose(1, 3, 0, 2).reshape(d_b * d_a, d_b * d_a))
+        monkeypatch.setattr(chan, "_jamiolkowski_from_liouville", lambda m, d_out, d_in: m.reshape(
+            d_out, d_out, d_in, d_in).transpose(1, 3, 0, 2).reshape(d_out * d_in, -1) / d_in)
         checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
         assert not checks["channel_representation_roundtrip"]["passed"]
 

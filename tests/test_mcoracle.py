@@ -10,7 +10,7 @@ from noetherlab.metrics import (
     u1_generators,
     unitarity_jamiolkowski,
 )
-from noetherlab.numkit import haar_pure_batch, vectorize
+from noetherlab.numkit import haar_pure_batch
 from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ, coupled_labels
 from noetherlab.u1cov import EnergySpectrum, build_extremal
@@ -95,7 +95,7 @@ def _dense_reference(d: int, values_fn, samples: int, seed: int) -> tuple:
 def _dense_unitarity(channel):
     """Output purity of E(psi - I/d) from the full complex Liouville matrix."""
     d, lv = channel.d_in, channel.liouville
-    mixed_vec = vectorize(np.eye(d) / d)
+    mixed_vec = (np.eye(d) / d).reshape(-1)
 
     def values(psi):
         rows = np.einsum("ni,nj->nij", psi, psi.conj()).reshape(len(psi), d * d) - mixed_vec

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noetherlab.numkit import (
-    Tolerances,
-    ginibre,
-    haar_isometry,
-    haar_pure_batch,
-    partial_trace,
-    purity,
-    reshuffle,
-    vectorize,
-)
+from noetherlab.chan import ChannelValidationError, QuantumChannel, random_channel
+from noetherlab.numkit import Tolerances, ginibre, haar_isometry, haar_pure_batch, purity
 from support import mat_exp_skew_hermitian
 
 
@@ -20,93 +12,36 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestVectorize:
-    def test_identity(self):
-        assert np.allclose(vectorize(np.eye(2)), [1, 0, 0, 1])
-
-    def test_basis_element(self):
-        m = np.zeros((2, 2))
-        m[0, 1] = 1.0  # |0><1|
-        assert np.allclose(vectorize(m), [0, 1, 0, 0])
-
-    def test_unit_norm_of_identity(self):
-        for d in (2, 3, 5):
-            assert np.isclose(np.linalg.norm(vectorize(np.eye(d)) / np.sqrt(d)), 1.0)
-
-    def test_trace_inner_product(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rand_complex(rng, 4, 4)
-            y = rand_complex(rng, 4, 4)
-            lhs = np.vdot(vectorize(x), vectorize(y))
-            assert abs(lhs - np.trace(x.conj().T @ y)) < 1e-12
-
-
-class TestReshuffle:
-    def test_identity_channel_gives_scaled_bell_projector(self):
-        # reshuffling L(identity) yields the rank-1 maximally entangled
-        # operator; with unit-trace normalization it is |Omega><Omega|
-        omega = np.zeros(4)
-        omega[[0, 3]] = 1 / np.sqrt(2)
-        got = reshuffle(np.eye(4), 2, 2) / 2
-        assert np.allclose(got, np.outer(omega, omega))
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_involution(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rand_complex(rng, 9, 9)
-        assert np.allclose(reshuffle(reshuffle(m, 3, 3), 3, 3), m)
-
-    def test_matches_choi_from_kraus(self):
-        # independent construction of J = (E (x) I)|Om><Om| from Kraus data
-        rng = np.random.default_rng(1)
-        d_in, d_out = 3, 2
-        q, _ = np.linalg.qr(rand_complex(rng, d_out * 2, d_in))
-        ks = [q[i * d_out:(i + 1) * d_out, :] for i in range(2)]
-        lv = sum(np.kron(k, k.conj()) for k in ks)
-        omega = np.zeros(d_in * d_in, dtype=complex)
-        omega[:: d_in + 1] = 1 / np.sqrt(d_in)
-        ext = sum(np.kron(k, np.eye(d_in)) @ np.outer(omega, omega.conj()) @ np.kron(k, np.eye(d_in)).conj().T
-                  for k in ks)
-        assert np.allclose(reshuffle(lv, d_out, d_in) / d_in, ext, atol=1e-12)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            reshuffle(np.eye(5), 2, 2)
-
-
 class TestPartialTrace:
+    """tr_out J, which QuantumChannel holds to I/d_in: the output factor of J comes first."""
+
     def test_maximally_entangled(self):
         omega = np.zeros(4)
         omega[[0, 3]] = 1 / np.sqrt(2)
-        proj = np.outer(omega, omega)
-        assert np.allclose(partial_trace(proj, 2, 2), np.eye(2) / 2)
+        assert QuantumChannel(2, 2, jamiolkowski=np.outer(omega, omega)).tp_residual < 1e-15
 
     def test_product(self):
+        # J = rho (x) sigma has tr_out J = sigma: its residual is sigma's, however rho is drawn
         rng = np.random.default_rng(2)
-        a = rand_complex(rng, 2, 2)
-        b = rand_complex(rng, 3, 3)
-        m = np.kron(a, b)
-        assert np.allclose(partial_trace(m, 2, 3), b * np.trace(a))
+        rho, sigma = (g @ g.conj().T for g in (rand_complex(rng, 2, 2), rand_complex(rng, 3, 3)))
+        rho, sigma = rho / np.trace(rho), sigma / np.trace(sigma)
+        residual = np.max(np.abs(sigma - np.eye(3) / 3))
+        with pytest.raises(ChannelValidationError, match=f"marginal residual {residual:.2e}"):
+            QuantumChannel(3, 2, jamiolkowski=np.kron(rho, sigma))
+        assert QuantumChannel(3, 2, jamiolkowski=np.kron(rho, np.eye(3) / 3)).tp_residual < 1e-15
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_trace_preserved(self, seed):
         rng = np.random.default_rng(seed)
-        m = rand_complex(rng, 6, 6)
-        assert np.isclose(np.trace(partial_trace(m, 2, 3)), np.trace(m))
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match=r"expected shape \(6, 6\), got \(4, 4\)"):
-            partial_trace(np.eye(4), 2, 3)
+        d_in, d_out = (int(x) for x in rng.integers(2, 5, size=2))
+        assert random_channel(d_in, d_out, 3, seed).tp_residual < 1e-12
 
     def test_marginal_of_extremal_channel_state(self):
         from noetherlab.su2cov import extremal_channel
         from noetherlab.su2rep import SpinJ
 
-        j = extremal_channel(SpinJ(1), SpinJ(1), 2).jamiolkowski
-        assert np.allclose(partial_trace(j, 2, 2), np.eye(2) / 2, atol=1e-12)
+        assert extremal_channel(SpinJ(1), SpinJ(1), 2).tp_residual < 1e-12
 
 
 class TestPurityFidelity:

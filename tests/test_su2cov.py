@@ -620,6 +620,17 @@ class TestPolarization:
                 assert r["two_L_minus"] == a + b
                 assert r["two_L_plus"] == abs(a - b)
 
+    def test_extrema_match_the_full_scan(self):
+        # the oracle takes the min and max over every label of the ladder
+        for a in range(1, 25):
+            for b in range(1, 25):
+                sa, sb = SpinJ(a), SpinJ(b)
+                kappas = {two_l: polarization_factor(sa, sb, two_l)
+                          for two_l in coupled_labels(sa, sb)}
+                lo, hi = min(kappas, key=kappas.get), max(kappas, key=kappas.get)
+                assert kappa_extrema(sa, sb) == {"kappa_minus": kappas[lo], "two_L_minus": lo,
+                                                 "kappa_plus": kappas[hi], "two_L_plus": hi}
+
     def test_amplification_branches(self):
         for a in range(1, 9):
             for b in range(1, 9):

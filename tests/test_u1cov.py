@@ -82,6 +82,19 @@ class TestSpectrum:
         assert EnergySpectrum((0, 1)).degeneracy() == 1
         assert EnergySpectrum((0, 1, 3)).degeneracy() == 1
 
+    def test_bohr_tally_matches_a_count_per_frequency(self):
+        rng = np.random.default_rng(12)
+        for _ in range(120):
+            d = int(rng.integers(2, 65))
+            span = int(rng.choice([d, 2 * d, 10**6]))  # dense levels share frequencies
+            spec = EnergySpectrum(np.sort(rng.choice(span, size=d, replace=False)).tolist())
+            labels = spec.bohr_labels().tolist()
+            frequencies = sorted(set(labels))
+            assert spec.bohr_frequencies() == frequencies
+            assert all(type(b) is int for b in spec.bohr_frequencies())
+            g = spec.degeneracy()
+            assert type(g) is int and g == max(labels.count(b) for b in frequencies if b != 0)
+
     def test_block_members(self):
         # output levels m of the pairs with each Bohr frequency
         spec = EnergySpectrum((0, 1, 3))

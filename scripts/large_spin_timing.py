@@ -5,12 +5,13 @@
 
 Draws one Dirichlet(0.7) mixture between two spin-j systems, then times
 ``covariant_channel`` + ``twirl`` + ``unitarity_complementary`` together in a
-warm process (the ITO basis is built first and not timed), then ``decompose``
+warm process (the ITO basis is built first and not timed), and ``decompose``
 and ``unitarity_jamiolkowski`` of the twirled channel, each on its own.  Prints
 the three times, the residual of the complementary unitarity against
 ``unitarity_su2_closed``, the peak RSS after ``covariant_channel`` + ``twirl``
-(read before ``unitarity_complementary`` builds its Kraus stack) and the
-process's peak RSS.  It reports; it gates nothing.
+and after ``decompose`` + ``unitarity_jamiolkowski`` (both read before
+``unitarity_complementary`` builds its Kraus stack), and the process's peak RSS.
+It reports; it gates nothing.
 """
 
 import argparse
@@ -39,21 +40,25 @@ def run(two_j: int, seed: int) -> str:
     mix = su2cov.CovariantMixture(spin, spin, tuple(weights))
     t0 = time.perf_counter()
     channel = su2cov.twirl(su2cov.covariant_channel(mix), spin, spin)
-    twirl_rss_mb = peak_rss_mb()
-    u = metrics.unitarity_complementary(channel)
     seconds = time.perf_counter() - t0
+    twirl_rss_mb = peak_rss_mb()
     t0 = time.perf_counter()
     su2cov.decompose(channel, spin, spin)
     decompose_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     metrics.unitarity_jamiolkowski(channel)
     jamiolkowski_s = time.perf_counter() - t0
+    analysis_rss_mb = peak_rss_mb()
+    t0 = time.perf_counter()
+    u = metrics.unitarity_complementary(channel)
+    seconds += time.perf_counter() - t0
     residual = abs(u - metrics.unitarity_su2_closed(mix))
     return (f"two_j={two_j}: covariant_channel + twirl + unitarity_complementary "
             f"{seconds:.2f} s, decompose {decompose_s:.3f} s, "
             f"unitarity_jamiolkowski {jamiolkowski_s:.3f} s, "
             f"residual {residual:.1e} against unitarity_su2_closed, "
             f"peak RSS {twirl_rss_mb:.0f} MB after covariant_channel + twirl, "
+            f"{analysis_rss_mb:.0f} MB after decompose + unitarity_jamiolkowski, "
             f"{peak_rss_mb():.0f} MB in all")
 
 

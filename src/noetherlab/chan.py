@@ -1,7 +1,7 @@
-"""Quantum channels in four interconvertible representations.
+"""Quantum channels in five interconvertible representations.
 
 A channel is validated once (complete positivity and trace preservation,
-checked on its Jamiolkowski state J, stored on construction) and is immutable
+checked on the blocks of its Jamiolkowski state J) and is immutable
 afterwards: it copies the given form, and each form it stores is read-only.  Every
 form is derived from the given one, never from another derived form, so no number
 depends on the order the forms are read; ``apply`` and ``apply_adjoint`` are one
@@ -12,8 +12,11 @@ with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``; the
 Liouville matrix of row-stacked vectors is ``L[ab, cd] = d_in J[ac, bd]``, and
 both conversions live here.  Optional ``labels`` give each index r * d_in + c of
 J an integer (a Bohr frequency, or m_out - m_in): J must vanish between
-different labels, and its Hermiticity and positivity checks and Kraus
-operators then go one label block at a time.
+different labels, and from 64 rows on it is split into one block per label.
+A covariant channel can instead be given as such blocks, ``blocks=[(index,
+block), ...]``, one Hermitian block of J per entry on the flat indices it lists.
+It stores only its blocks: its dense ``jamiolkowski`` is built on each read and
+never stored.  Validation and the Kraus operators go one block at a time.
 """
 
 from __future__ import annotations
@@ -73,65 +76,80 @@ def _kraus_from_blocks(blocks, d_out: int, d_in: int) -> list[np.ndarray]:
             for i in np.argsort(w, kind="stable") if w[i] > TOL.tol_psd]
 
 
+def _read_blocks(blocks, n: int) -> tuple:
+    """Read-only copies of the (index, block) pairs, once their shapes and cover pass."""
+    read = [(np.asarray(i), np.array(b, dtype=complex)) for i, b in blocks]
+    for k, (i, b) in enumerate(read):
+        if i.ndim != 1 or i.dtype.kind not in "iu" or b.shape != i.shape * 2 or not i.size:
+            raise ValueError(f"block {k} is not an m x m array on m >= 1 integer indices")
+    if not np.array_equal(np.sort(np.concatenate([i for i, _ in read] or [[]])), np.arange(n)):
+        raise ValueError(f"block indices must cover 0..{n - 1} once each")
+    return tuple((_sealed(i.astype(np.intp)), _sealed(b)) for i, b in read)
+
+
 class QuantumChannel:
-    """A CPTP map between a d_in- and a d_out-dimensional system."""
+    """A CPTP map between a d_in- and a d_out-dimensional system.  ``blocks`` holds J as
+    read-only (index, block) pairs: the given blocks, or J whole for a dense form."""
 
     def __init__(self, d_in: int, d_out: int, *, kraus=None, liouville=None,
-                 jamiolkowski=None, stinespring=None, labels=None):
-        if sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring)) != 1:
-            raise ValueError("provide exactly one representation")
+                 jamiolkowski=None, stinespring=None, labels=None, blocks=None):
+        if (sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring, blocks)) != 1
+                or blocks is not None and labels is not None):
+            raise ValueError("provide exactly one representation (labels only with a dense one)")
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self._kraus = None
-        self._liouville = None
-        # the given form is copied, so the caller cannot edit it, then converted down to J
-        if stinespring is not None:
-            v = np.asarray(stinespring, dtype=complex)
-            if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
-                raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
-            v = v.reshape(self.d_out, -1, self.d_in)
-            kraus = [v[:, e, :] for e in range(v.shape[1])]
-        if kraus is not None:
-            ks = [np.array(k, dtype=complex) for k in kraus]
-            if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
-                raise ValueError("Kraus operators must be d_out x d_in")
-            self._kraus = [_sealed(k) for k in ks]
-            liouville = sum(np.kron(k, k.conj()) for k in ks)
-        if liouville is not None:
-            m = np.array(liouville, dtype=complex)
-            if m.shape != (self.d_out**2, self.d_in**2):
-                raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
-            self._liouville = _sealed(m)
-            jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
-        j = _sealed(np.array(jamiolkowski, dtype=complex))
-        n = self.d_out * self.d_in
-        if j.shape != (n, n):
-            raise ValueError(f"Jamiolkowski state must be {n} x {n}")
-        self._jamiolkowski = j
-        # validation: complete positivity and trace preservation, read off J
-        if not np.all(np.isfinite(j)):
+        self._kraus = self._liouville = self._jamiolkowski = None
+        n, coupled = self.d_out * self.d_in, False
+        if blocks is not None:
+            self.blocks = self._split = _read_blocks(blocks, n)
+        else:
+            # the given form is copied, so the caller cannot edit it, then converted down to J
+            if stinespring is not None:
+                v = np.asarray(stinespring, dtype=complex)
+                if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
+                    raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
+                v = v.reshape(self.d_out, -1, self.d_in)
+                kraus = [v[:, e, :] for e in range(v.shape[1])]
+            if kraus is not None:
+                ks = [np.array(k, dtype=complex) for k in kraus]
+                if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
+                    raise ValueError("Kraus operators must be d_out x d_in")
+                self._kraus = [_sealed(k) for k in ks]
+                liouville = sum(np.kron(k, k.conj()) for k in ks)
+            if liouville is not None:
+                m = np.array(liouville, dtype=complex)
+                if m.shape != (self.d_out**2, self.d_in**2):
+                    raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
+                self._liouville = _sealed(m)
+                jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
+            j = _sealed(np.array(jamiolkowski, dtype=complex))
+            if j.shape != (n, n):
+                raise ValueError(f"Jamiolkowski state must be {n} x {n}")
+            self._jamiolkowski = j
+            self.blocks = self._split = ((_sealed(np.arange(n)), j),)  # J whole
+        if not all(np.isfinite(b).all() for _, b in self.blocks):
             raise ChannelValidationError("channel representation has non-finite entries")
-        self._blocks, coupled = [(slice(None), j)], False  # (index, J block) per label, ascending
-        if labels is not None:
-            labels = np.asarray(labels)
+        if labels is not None:  # a dense J is checked and eigendecomposed per label
+            j, labels = self._jamiolkowski, np.asarray(labels)
             if labels.shape != (n,):
                 raise ValueError(f"labels must be {n} integers, one per Jamiolkowski index")
             coupled = bool(np.any((labels[:, None] != labels) & (j != 0)))
             if n >= _BLOCKED_FROM and not coupled:
                 order = np.argsort(labels, kind="stable")
-                self._blocks = [(i, j[np.ix_(i, i)]) for i in
-                                np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
-        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self._blocks)
+                self._split = tuple((i, j[np.ix_(i, i)]) for i in
+                                    np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
+        # validation: Hermiticity and positivity per checked block, trace preservation
+        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self._split)
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
         if coupled:
             raise ChannelValidationError("Jamiolkowski state couples different labels")
         self.cp_min_eig = min(float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
-                              for _, b in self._blocks)
+                              for _, b in self._split)
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        marginal = np.einsum("iaib->ab", j.reshape(self.d_out, self.d_in, self.d_out, self.d_in))
+        marginal = self.marginal("in")
         self.tp_residual = float(np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in)))
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(
@@ -148,13 +166,43 @@ class QuantumChannel:
 
     @property
     def jamiolkowski(self) -> np.ndarray:
-        return self._jamiolkowski
+        """The dense J: stored unless the channel was given as blocks, then built on each read."""
+        if self._jamiolkowski is not None:
+            return self._jamiolkowski
+        j = np.zeros((self.d_out * self.d_in,) * 2, dtype=complex)
+        for index, block in self.blocks:
+            j[np.ix_(index, index)] = block
+        return _sealed(j)
+
+    def jamiolkowski_blocks(self, indices) -> list:
+        """``J[ix_(i, i)]`` for each index array i, gathered from the blocks that hold i."""
+        block_of, pos = np.empty((2, self.d_out * self.d_in), dtype=np.intp)
+        for k, (i, _) in enumerate(self.blocks):
+            block_of[i], pos[i] = k, np.arange(len(i))
+        out = [np.zeros((len(i),) * 2, dtype=complex) for i in indices]
+        for i, sub in zip(indices, out):
+            for k in set(block_of[i].tolist()):
+                sel = np.flatnonzero(block_of[i] == k)
+                sub[np.ix_(sel, sel)] = self.blocks[k][1][np.ix_(pos[i[sel]], pos[i[sel]])]
+        return out
+
+    def marginal(self, keep: str) -> np.ndarray:
+        """J reduced to ``keep``, summed off the blocks: tr_out J ("in") or tr_in J = E(I/d_in)."""
+        if self._jamiolkowski is not None:  # J whole: one einsum, which sums in the same order
+            return np.einsum("iaib->ab" if keep == "in" else "aibi->ab",
+                             self._jamiolkowski.reshape((self.d_out, self.d_in) * 2))
+        m = np.zeros((self.d_in, self.d_in) if keep == "in" else (self.d_out, self.d_out), complex)
+        for index, block in self.blocks:
+            kept, traced = np.divmod(index, self.d_in)[::-1 if keep == "in" else 1]
+            a, b = np.nonzero(traced[:, None] == traced)
+            np.add.at(m, (kept[a], kept[b]), block[a, b])
+        return m
 
     @property
     def kraus(self) -> list[np.ndarray]:
         """The given Kraus operators, or else the eigendecomposition of J's label blocks."""
         if self._kraus is None:
-            self._kraus = _kraus_from_blocks(self._blocks, self.d_out, self.d_in)
+            self._kraus = _kraus_from_blocks(self._split, self.d_out, self.d_in)
         return self._kraus
 
     @property

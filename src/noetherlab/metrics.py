@@ -80,21 +80,16 @@ def unitarity_dim(channel: QuantumChannel) -> int:
     return channel.d_in
 
 
-def _maximally_mixed_output(channel: QuantumChannel) -> np.ndarray:
-    """E(I/d_in) = tr_in J, read off J without forming the Liouville matrix."""
-    return np.einsum("aibi->ab", channel.jamiolkowski.reshape((channel.d_out, channel.d_in) * 2))
-
-
 def _unitarity(channel: QuantumChannel, gamma: float) -> float:
     """The Haar-average unitarity d/(d^2 - 1) (d gamma - tr E(I/d)^2) of Wallman et al.
     (arXiv:1503.07865), for gamma = tr J^2 = tr E_c(I/d)^2 and E(I/d) = tr_in J."""
     d = unitarity_dim(channel)
-    return d / (d * d - 1) * (d * gamma - purity(_maximally_mixed_output(channel)))
+    return d / (d * d - 1) * (d * gamma - purity(channel.marginal("out")))
 
 
 def unitarity_jamiolkowski(channel: QuantumChannel) -> float:
-    """Unitarity from the purity of the Jamiolkowski state."""
-    return _unitarity(channel, purity(channel.jamiolkowski))
+    """Unitarity from the purity of the Jamiolkowski state, summed over its blocks."""
+    return _unitarity(channel, sum(purity(b) for _, b in channel.blocks))
 
 
 def unitarity_complementary(channel: QuantumChannel) -> float:
@@ -146,7 +141,7 @@ def unitarity_su2_closed(mix: CovariantMixture) -> float:
 def purity_condition_holds(channel: QuantumChannel) -> bool:
     """Whether tr(E(I/d_in)^2) >= 1/d_in (within 1e-12), the side condition under
     which the general unitarity upper bound extends to d_out > d_in."""
-    return purity(_maximally_mixed_output(channel)) >= 1.0 / channel.d_in - 1e-12
+    return purity(channel.marginal("out")) >= 1.0 / channel.d_in - 1e-12
 
 
 def delta_generators(channel: QuantumChannel, gens: GeneratorSet) -> list[np.ndarray]:

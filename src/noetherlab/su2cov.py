@@ -94,24 +94,22 @@ def irrep_projector(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> np.ndarray:
 
 
 def _twirl_state(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ):
-    """The weights p_L = tr(Pi_L J), L ascending, and the twirl sum_L p_L Pi_L/(2L+1) of J."""
+    """The weights p_L = tr(Pi_L J), L ascending, the twirl of J and J, as blocks per M."""
     if (channel.d_in, channel.d_out) != (spin_in.dim, spin_out.dim):
         raise ValueError(f"channel (d_in, d_out) = ({channel.d_in}, {channel.d_out}) does not "
                          f"match the spins' ({spin_in.dim}, {spin_out.dim})")
-    basis, j = ito_basis(spin_in, spin_out), channel.jamiolkowski
+    basis = ito_basis(spin_in, spin_out)
+    j_blocks = channel.jamiolkowski_blocks([index for _, index, _ in basis.blocks])
     p = np.zeros(len(basis.labels))
-    for _, index, v in basis.blocks:
-        p[-v.shape[1]:] += np.sum(v * (j[np.ix_(index, index)].real @ v), axis=0)
-    return p.tolist(), _block_state(basis, p)
+    for (_, _, v), j in zip(basis.blocks, j_blocks):
+        p[-v.shape[1]:] += np.sum(v * (j.real @ v), axis=0)
+    return p.tolist(), _block_state(basis, p), j_blocks
 
 
-def _block_state(basis: ItoBasis, weights) -> np.ndarray:
-    """sum_L p_L Pi_L / (2L+1): the Jamiolkowski state with block weights p_L."""
+def _block_state(basis: ItoBasis, weights) -> list:
+    """sum_L p_L Pi_L / (2L+1), J with block weights p_L, as an (index, block) pair per M."""
     scaled = np.asarray(weights) / [two_l + 1 for two_l in basis.labels]
-    j = np.zeros((basis.spin_out.dim * basis.spin_in.dim,) * 2, dtype=complex)
-    for _, index, v in basis.blocks:
-        j[np.ix_(index, index)] = (v * scaled[-v.shape[1]:]) @ v.T
-    return j
+    return [(index, (v * scaled[-v.shape[1]:]) @ v.T) for _, index, v in basis.blocks]
 
 
 def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarray]:
@@ -128,23 +126,24 @@ def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> QuantumChan
 
 
 def covariant_channel(mix: CovariantMixture) -> QuantumChannel:
-    """Assemble sum_L p_L E^L from its Jamiolkowski block weights."""
-    j = _block_state(ito_basis(mix.spin_in, mix.spin_out), mix.weights)
-    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, jamiolkowski=j,
-                          labels=pair_labels(mix.spin_out.m_values(), mix.spin_in.m_values()))
+    """Assemble sum_L p_L E^L from its Jamiolkowski block weights, one block per M."""
+    blocks = _block_state(ito_basis(mix.spin_in, mix.spin_out), mix.weights)
+    return QuantumChannel(mix.spin_in.dim, mix.spin_out.dim, blocks=blocks)
 
 
 def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> CovariantMixture:
     """Recover the simplex weights p_L = tr(Pi_L J(E)) of a covariant channel.
 
     SU(2) on H_out (x) H_in is multiplicity-free, so J is covariant iff J = twirl(J):
-    max |J - twirl(J)| > tol_eq rejects it, off-label entries included.  Round-off
-    negatives down to -tol_psd are clipped to 0; a weight below that is an error,
-    reported with the mass clipping would have discarded.
+    max |J - twirl(J)| > tol_eq, read per label block M and off J's own blocks between
+    labels, rejects it.  Round-off negatives down to -tol_psd are clipped to 0; a weight
+    below that is an error, reported with the mass clipping would have discarded.
     """
-    weights, state = _twirl_state(channel, spin_in, spin_out)
-    state -= channel.jamiolkowski  # in place: the twirl is not needed after this
-    res = float(np.max(np.abs(state)))
+    weights, state, j_blocks = _twirl_state(channel, spin_in, spin_out)
+    labels = pair_labels(spin_out.m_values(), spin_in.m_values())
+    res = max([float(np.max(np.abs(t - j))) for (_, t), j in zip(state, j_blocks)]
+              + [float(np.max(np.abs(b), where=labels[i][:, None] != labels[i], initial=0.0))
+                 for i, b in channel.blocks])
     if res > TOL.tol_eq:
         raise ValueError(f"channel is not covariant: twirl residual {res:.2e}")
     if min(weights) < -TOL.tol_psd:
@@ -159,12 +158,11 @@ def twirl(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> QuantumCh
     """Group-average a channel onto the covariant simplex.
 
     Implemented exactly as a block projection of the Jamiolkowski state: the
-    state assembled from the block weights of J.  Idempotent, and the
-    identity on covariant inputs.
+    channel given by the label blocks that the block weights of J assemble.
+    Idempotent, and the identity on covariant inputs.
     """
     return QuantumChannel(spin_in.dim, spin_out.dim,
-                          jamiolkowski=_twirl_state(channel, spin_in, spin_out)[1],
-                          labels=pair_labels(spin_out.m_values(), spin_in.m_values()))
+                          blocks=_twirl_state(channel, spin_in, spin_out)[1])
 
 
 def scaling_coefficient(two_j_in: int, two_j_out: int, two_l_chan: int, two_l: int) -> float:

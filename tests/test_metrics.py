@@ -10,7 +10,6 @@ from noetherlab.chan import (
 from noetherlab.mcoracle import mc_unitarity
 from noetherlab.metrics import (
     GeneratorSet,
-    _maximally_mixed_output,
     delta_generators,
     deviation_avg,
     deviation_su2_closed,
@@ -190,7 +189,7 @@ class TestQubitIdentity:
 
 
 class TestMaximallyMixedOutput:
-    """E(I/d_in) read off J.  A covariant SU(2) channel maps I/d to I/d_out, which the
+    """E(I/d_in) = tr_in J read off J's blocks.  A covariant SU(2) channel maps I/d to I/d_out, which the
     partial trace over the output factor also gives, so random channels with d_in != d_out
     in both directions are what tell the two factors apart."""
 
@@ -199,7 +198,7 @@ class TestMaximallyMixedOutput:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_apply_on_the_maximally_mixed_state(self, d_in, d_out, rank, seed):
         ch = random_channel(d_in, d_out, rank, seed)
-        got = _maximally_mixed_output(ch)
+        got = ch.marginal("out")
         assert got.shape == (d_out, d_out)
         assert np.max(np.abs(got - ch.apply(np.eye(d_in) / d_in))) <= 1e-15
 

@@ -5,13 +5,14 @@
 
 Draws one Dirichlet(0.7) mixture between two spin-j systems, then times
 ``covariant_channel`` + ``twirl`` + ``unitarity_complementary`` together in a
-warm process (the ITO basis is built first and not timed), and ``decompose``
-and ``unitarity_jamiolkowski`` of the twirled channel, each on its own.  Prints
-the three times, the residual of the complementary unitarity against
-``unitarity_su2_closed``, the peak RSS after ``covariant_channel`` + ``twirl``
-and after ``decompose`` + ``unitarity_jamiolkowski`` (both read before
-``unitarity_complementary`` builds its Kraus stack), and the process's peak RSS.
-It reports; it gates nothing.
+warm process (the ITO basis is built first and not timed), and ``decompose``,
+``unitarity_jamiolkowski`` and ``deviation_avg`` of the twirled channel, each on
+its own, and last ``extremal_channel(j, j, 2j)`` from its Kraus operators.
+Prints the five times, the residual of the complementary unitarity against
+``unitarity_su2_closed``, the peak RSS after ``covariant_channel`` + ``twirl``,
+after ``decompose`` + ``unitarity_jamiolkowski`` and after ``deviation_avg``
+(all read before ``unitarity_complementary`` builds its Kraus stack), and the
+process's peak RSS.  It reports; it gates nothing.
 """
 
 import argparse
@@ -50,16 +51,24 @@ def run(two_j: int, seed: int) -> str:
     jamiolkowski_s = time.perf_counter() - t0
     analysis_rss_mb = peak_rss_mb()
     t0 = time.perf_counter()
+    metrics.deviation_avg(channel, metrics.su2_generators(spin))
+    deviation_s = time.perf_counter() - t0
+    deviation_rss_mb = peak_rss_mb()
+    t0 = time.perf_counter()
     u = metrics.unitarity_complementary(channel)
     seconds += time.perf_counter() - t0
     residual = abs(u - metrics.unitarity_su2_closed(mix))
+    t0 = time.perf_counter()
+    su2cov.extremal_channel(spin, spin, 2 * two_j)
+    extremal_s = time.perf_counter() - t0
     return (f"two_j={two_j}: covariant_channel + twirl + unitarity_complementary "
             f"{seconds:.2f} s, decompose {decompose_s:.3f} s, "
-            f"unitarity_jamiolkowski {jamiolkowski_s:.3f} s, "
+            f"unitarity_jamiolkowski {jamiolkowski_s:.3f} s, deviation_avg {deviation_s:.3f} s, "
+            f"extremal_channel(j, j, 2j) {extremal_s:.2f} s, "
             f"residual {residual:.1e} against unitarity_su2_closed, "
             f"peak RSS {twirl_rss_mb:.0f} MB after covariant_channel + twirl, "
             f"{analysis_rss_mb:.0f} MB after decompose + unitarity_jamiolkowski, "
-            f"{peak_rss_mb():.0f} MB in all")
+            f"{deviation_rss_mb:.0f} MB after deviation_avg, {peak_rss_mb():.0f} MB in all")
 
 
 if __name__ == "__main__":

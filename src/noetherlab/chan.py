@@ -2,10 +2,11 @@
 
 A channel is validated once (complete positivity and trace preservation,
 checked on the blocks of its Jamiolkowski state J) and is immutable
-afterwards: it copies the given form, and each form it stores is read-only.  Every
-form is derived from the given one, never from another derived form, so no number
-depends on the order the forms are read; ``apply`` and ``apply_adjoint`` are one
-Liouville product each.
+afterwards: it copies the given form, and each form it stores is read-only.  J,
+whole or as the given blocks, is the one internal form, and every form not given is
+derived from it, so no number depends on the order the forms are read.  Kraus
+operators give J by one product; ``apply``, ``apply_adjoint`` and the trace check
+contract J's blocks; the Liouville matrix is built on each read and never stored.
 
 The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
 with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``; the
@@ -98,7 +99,7 @@ class QuantumChannel:
             raise ValueError("provide exactly one representation (labels only with a dense one)")
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self._kraus = self._liouville = self._jamiolkowski = None
+        self._kraus = self._jamiolkowski = None
         n, coupled = self.d_out * self.d_in, False
         if blocks is not None:
             self.blocks = self._split = _read_blocks(blocks, n)
@@ -108,19 +109,18 @@ class QuantumChannel:
                 v = np.asarray(stinespring, dtype=complex)
                 if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
                     raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
-                v = v.reshape(self.d_out, -1, self.d_in)
-                kraus = [v[:, e, :] for e in range(v.shape[1])]
+                kraus = list(v.reshape(self.d_out, -1, self.d_in).transpose(1, 0, 2))
             if kraus is not None:
                 ks = [np.array(k, dtype=complex) for k in kraus]
                 if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
                     raise ValueError("Kraus operators must be d_out x d_in")
                 self._kraus = [_sealed(k) for k in ks]
-                liouville = sum(np.kron(k, k.conj()) for k in ks)
+                v = np.stack(ks).reshape(len(ks), n)  # row k is vec(K_k)
+                jamiolkowski = v.T @ v.conj() / self.d_in
             if liouville is not None:
-                m = np.array(liouville, dtype=complex)
+                m = np.asarray(liouville, dtype=complex)
                 if m.shape != (self.d_out**2, self.d_in**2):
                     raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
-                self._liouville = _sealed(m)
                 jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
             j = _sealed(np.array(jamiolkowski, dtype=complex))
             if j.shape != (n, n):
@@ -138,7 +138,7 @@ class QuantumChannel:
                 order = np.argsort(labels, kind="stable")
                 self._split = tuple((i, j[np.ix_(i, i)]) for i in
                                     np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
-        # validation: Hermiticity and positivity per checked block, trace preservation
+        # validation: Hermiticity and positivity per checked block, trace preservation E_adj(I) = I
         herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self._split)
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
@@ -149,8 +149,8 @@ class QuantumChannel:
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        marginal = self.marginal("in")
-        self.tp_residual = float(np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in)))
+        unital_in = self.apply_adjoint(np.eye(self.d_out)) - np.eye(self.d_in)
+        self.tp_residual = float(np.max(np.abs(unital_in))) / self.d_in
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(
                 f"not trace preserving: marginal residual {self.tp_residual:.2e}")
@@ -159,10 +159,8 @@ class QuantumChannel:
 
     @property
     def liouville(self) -> np.ndarray:
-        """The given matrix, the Kraus sum of given Kraus operators, or else reshuffled J."""
-        if self._liouville is None:
-            self._liouville = _liouville_from_jamiolkowski(self.jamiolkowski, self.d_out, self.d_in)
-        return self._liouville
+        """J reshuffled, built on each read and never stored."""
+        return _liouville_from_jamiolkowski(self.jamiolkowski, self.d_out, self.d_in)
 
     @property
     def jamiolkowski(self) -> np.ndarray:
@@ -186,18 +184,6 @@ class QuantumChannel:
                 sub[np.ix_(sel, sel)] = self.blocks[k][1][np.ix_(pos[i[sel]], pos[i[sel]])]
         return out
 
-    def marginal(self, keep: str) -> np.ndarray:
-        """J reduced to ``keep``, summed off the blocks: tr_out J ("in") or tr_in J = E(I/d_in)."""
-        if self._jamiolkowski is not None:  # J whole: one einsum, which sums in the same order
-            return np.einsum("iaib->ab" if keep == "in" else "aibi->ab",
-                             self._jamiolkowski.reshape((self.d_out, self.d_in) * 2))
-        m = np.zeros((self.d_in, self.d_in) if keep == "in" else (self.d_out, self.d_out), complex)
-        for index, block in self.blocks:
-            kept, traced = np.divmod(index, self.d_in)[::-1 if keep == "in" else 1]
-            a, b = np.nonzero(traced[:, None] == traced)
-            np.add.at(m, (kept[a], kept[b]), block[a, b])
-        return m
-
     @property
     def kraus(self) -> list[np.ndarray]:
         """The given Kraus operators, or else the eigendecomposition of J's label blocks."""
@@ -217,18 +203,30 @@ class QuantumChannel:
 
     # -- action -------------------------------------------------------------
 
+    def _contract(self, x: np.ndarray, to_in: bool) -> np.ndarray:
+        """sum_{r,s} J[r, s] x[src_r, src_s] placed at [dst_r, dst_s], for (dst, src) =
+        divmod(index, d_in), swapped when ``to_in``: E(x) / d_in, or conj E_adj(conj x) / d_in."""
+        if self._jamiolkowski is not None:  # J whole: one einsum on its 4-index view
+            return np.einsum("acbd,ab->cd" if to_in else "acbd,cd->ab",
+                             self._jamiolkowski.reshape((self.d_out, self.d_in) * 2), x)
+        out = np.zeros((self.d_in,) * 2 if to_in else (self.d_out,) * 2, dtype=complex)
+        for index, block in self.blocks:
+            dst, src = np.divmod(index, self.d_in)[::-1 if to_in else 1]
+            np.add.at(out, (dst[:, None], dst), block * x[np.ix_(src, src)])
+        return out
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.d_in, self.d_in):
             raise ValueError(f"state must be {self.d_in} x {self.d_in}")
-        return (self.liouville @ rho.reshape(-1)).reshape(self.d_out, self.d_out)
+        return self.d_in * self._contract(rho, False)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture action: tr(E(X) Y) = tr(X E_adj(Y))."""
+        """Heisenberg-picture action: tr(E(X) Y) = tr(X E_adj(Y)), for any Y."""
         y = np.asarray(y, dtype=complex)
         if y.shape != (self.d_out, self.d_out):
             raise ValueError(f"observable must be {self.d_out} x {self.d_out}")
-        return (dagger(self.liouville) @ y.reshape(-1)).reshape(self.d_in, self.d_in)
+        return self.d_in * self._contract(y.conj(), True).conj()
 
     def complementary(self) -> "QuantumChannel":
         """Trace out the output instead of the environment of the same dilation."""
@@ -268,7 +266,8 @@ class QuantumChannel:
                     raise ValueError(f"channel entry {z!r} is not a [re, im] pair of numbers")
             for i in (i for i, row in enumerate(m) if len(row) != len(m[0])):
                 raise ValueError(f"channel {what} row {i} has {len(m[i])} entries, not {len(m[0])}")
-            return np.array([[complex(re, im) for re, im in row] for row in m])
+            pairs = np.array(m, dtype=float).reshape(len(m), len(m) and len(m[0]), 2)  # -0.0 kept
+            return pairs.view(complex)[..., 0]
 
         if not isinstance(obj, dict):
             raise ValueError("channel is not a JSON object")
@@ -286,7 +285,7 @@ class QuantumChannel:
 
     def save_json(self, path, representation: str = "kraus") -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(representation), fh)
+            fh.write(json.dumps(self.to_json_dict(representation)))
 
     @classmethod
     def load_json(cls, path) -> "QuantumChannel":

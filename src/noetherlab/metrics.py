@@ -84,7 +84,7 @@ def _unitarity(channel: QuantumChannel, gamma: float) -> float:
     """The Haar-average unitarity d/(d^2 - 1) (d gamma - tr E(I/d)^2) of Wallman et al.
     (arXiv:1503.07865), for gamma = tr J^2 = tr E_c(I/d)^2 and E(I/d) = tr_in J."""
     d = unitarity_dim(channel)
-    return d / (d * d - 1) * (d * gamma - purity(channel.marginal("out")))
+    return d / (d * d - 1) * (d * gamma - purity(channel.apply(np.eye(d) / d)))
 
 
 def unitarity_jamiolkowski(channel: QuantumChannel) -> float:
@@ -141,7 +141,7 @@ def unitarity_su2_closed(mix: CovariantMixture) -> float:
 def purity_condition_holds(channel: QuantumChannel) -> bool:
     """Whether tr(E(I/d_in)^2) >= 1/d_in (within 1e-12), the side condition under
     which the general unitarity upper bound extends to d_out > d_in."""
-    return purity(channel.marginal("out")) >= 1.0 / channel.d_in - 1e-12
+    return purity(channel.apply(np.eye(channel.d_in) / channel.d_in)) >= 1.0 / channel.d_in - 1e-12
 
 
 def delta_generators(channel: QuantumChannel, gens: GeneratorSet) -> list[np.ndarray]:

@@ -3,8 +3,9 @@
 The fixtures are channels (identity, unitary, depolarizing, dephasing) and the
 simplex vertices as mixtures; ``peak_bytes`` measures a call's traced peak.
 The oracles share no code path with what they check: rotation unitaries and
-spin-coherent states by matrix exponential, and f_1 = kappa ||J_in|| / ||J_out||
-from the rational polarization factor.
+spin-coherent states by matrix exponential, f_1 = kappa ||J_in|| / ||J_out||
+from the rational polarization factor, and a channel's action as products with
+its Liouville matrix, the sum of K (x) conj(K) over its Kraus operators.
 """
 
 import gc
@@ -40,6 +41,23 @@ def dephasing_channel(spectrum: EnergySpectrum, p: float) -> U1BlockChannel:
     j = np.zeros((d * d, d * d), dtype=complex)
     j[np.ix_(diagonal_pairs, diagonal_pairs)] = ((1.0 - p) * np.ones((d, d)) + p * np.eye(d)) / d
     return U1BlockChannel(spectrum, j)
+
+
+def kron_liouville(kraus) -> np.ndarray:
+    """The Liouville matrix sum_k K_k (x) conj(K_k) of row-stacked vectors."""
+    return sum(np.kron(k, np.conj(k)) for k in kraus)
+
+
+def liouville_apply(lv: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """E(rho) = unvec(L vec(rho))."""
+    d_out = int(round(np.sqrt(lv.shape[0])))
+    return (lv @ np.reshape(rho, -1)).reshape(d_out, d_out)
+
+
+def liouville_apply_adjoint(lv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """E_adj(Y) = unvec(L^dag vec(Y))."""
+    d_in = int(round(np.sqrt(lv.shape[1])))
+    return (dagger(lv) @ np.reshape(y, -1)).reshape(d_in, d_in)
 
 
 def pure_mixture(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> CovariantMixture:

@@ -2,7 +2,8 @@
 route: the same Jamiolkowski state given whole, with no labels.
 
 Covariant SU(2) channels and twirls are given as one block per M = m_out - m_in; the dense
-twin stores J and is one block.  Every form, metric and covariant operation must agree."""
+twin stores J and is one block.  Every form, metric and covariant operation must agree, and
+both routes of the action agree with products by the Liouville matrix of Kraus operators."""
 
 import re
 
@@ -11,18 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noetherlab.chan import ChannelValidationError, QuantumChannel, random_channel
+from noetherlab.chan import (
+    ChannelValidationError,
+    QuantumChannel,
+    _jamiolkowski_from_liouville,
+    random_channel,
+)
 from noetherlab.metrics import (
     deviation_avg,
     su2_generators,
     unitarity_complementary,
     unitarity_jamiolkowski,
 )
-from noetherlab.numkit import pair_labels
+from noetherlab.numkit import ginibre, pair_labels
 from noetherlab.su2cov import CovariantMixture, covariant_channel, decompose, twirl
 from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis
 from noetherlab.u1cov import EnergySpectrum, build_extremal
-from support import peak_bytes
+from support import kron_liouville, liouville_apply, liouville_apply_adjoint, peak_bytes
 
 TOL = 1e-12
 
@@ -52,7 +58,7 @@ def assert_blocked_matches_dense(blocked: QuantumChannel, spin_in: SpinJ, spin_o
     y = rng.standard_normal((spin_out.dim,) * 2)
     assert gap(blocked.apply(rho), dense.apply(rho)) <= TOL
     assert gap(blocked.apply_adjoint(y + y.T), dense.apply_adjoint(y + y.T)) <= TOL
-    assert gap(sum(np.kron(k, k.conj()) for k in blocked.kraus), dense.liouville) <= TOL
+    assert gap(kron_liouville(blocked.kraus), dense.liouville) <= TOL
     for metric in (unitarity_jamiolkowski, unitarity_complementary):
         assert abs(metric(blocked) - metric(dense)) <= TOL
     gens = su2_generators(spin_in, spin_out)
@@ -79,6 +85,54 @@ def test_twirl_of_a_random_channel_matches_dense(pair, seed):
     rank = -(-spin_in.dim // spin_out.dim)
     channel = twirl(random_channel(spin_in.dim, spin_out.dim, rank, seed), spin_in, spin_out)
     assert_blocked_matches_dense(channel, spin_in, spin_out, seed)
+
+
+# (d_in, d_out, rank, split): a Kraus-given channel, d_in, d_out <= 5, one of whose operators is
+# split in two when ``split``, so that the set is linearly dependent; or (spin pair, twirled)
+# for a covariant channel or a twirl given as label blocks, d <= 21
+kraus_specs = st.integers(1, 5).flatmap(lambda d_in: st.integers(1, 5).flatmap(
+    lambda d_out: st.tuples(st.just(d_in), st.just(d_out),
+                            st.integers(-(-d_in // d_out), 4 + (d_out == 1)), st.booleans())))
+oracle_specs = st.one_of(kraus_specs, st.tuples(spin_pairs, st.booleans()))
+
+
+def oracle_channel(spec, seed: int):
+    """The channel of a spec drawn from ``oracle_specs`` and its Kraus operators: the given
+    ones, or for a blocks-given channel those derived from its blocks."""
+    if len(spec) == 4:
+        d_in, d_out, rank, split = spec
+        ks = list(random_channel(d_in, d_out, rank, seed).kraus)
+        if split:
+            ks[:1] = [0.6 * ks[0], 0.8 * ks[0]]
+        return QuantumChannel(d_in, d_out, kraus=ks), ks
+    (two_j_in, two_j_out), twirled = spec
+    spin_in, spin_out = SpinJ(two_j_in), SpinJ(two_j_out)
+    if twirled:
+        rank = -(-spin_in.dim // spin_out.dim)
+        channel = twirl(random_channel(spin_in.dim, spin_out.dim, rank, seed), spin_in, spin_out)
+    else:
+        n = len(coupled_labels(spin_in, spin_out))
+        weights = np.random.default_rng(seed).dirichlet([0.7] * n)
+        channel = covariant_channel(CovariantMixture(spin_in, spin_out, tuple(weights)))
+    return channel, channel.kraus
+
+
+@given(oracle_specs, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_actions_and_trace_check_match_the_liouville_oracle(spec, seed):
+    channel, ks = oracle_channel(spec, seed)
+    d_in, d_out = channel.d_in, channel.d_out
+    lv = kron_liouville(ks)
+    from_kraus = QuantumChannel(d_in, d_out, kraus=ks)
+    assert gap(from_kraus.jamiolkowski, _jamiolkowski_from_liouville(lv, d_out, d_in)) <= 1e-15
+    rng = np.random.default_rng(seed)
+    rho, y = ginibre(d_in, d_in, rng), ginibre(d_out, d_out, rng)  # not Hermitian
+    for e in (channel, from_kraus):  # J as blocks or whole
+        assert gap(e.apply(rho), liouville_apply(lv, rho)) <= TOL
+        assert gap(e.apply_adjoint(y), liouville_apply_adjoint(lv, y)) <= TOL
+        j = e.jamiolkowski.reshape(d_out, d_in, d_out, d_in)
+        tr_out = sum(j[a, :, a, :] for a in range(d_out))
+        assert abs(e.tp_residual - gap(tr_out, np.eye(d_in) / d_in)) <= 1e-15
 
 
 def decompose_outcome(channel: QuantumChannel, spin: SpinJ):
@@ -214,13 +268,8 @@ def test_covariant_pipeline_peaks_below_a_quarter_of_j():
     assert peak_bytes(pipeline) < 0.25 * spin.dim**4 * 16
 
 
-def test_block_given_channel_stores_no_dense_j():
-    spin = SpinJ(20)
-    n = len(coupled_labels(spin, spin))
-    channel = covariant_channel(CovariantMixture(spin, spin, (1 / n,) * n))
-    first, second = channel.jamiolkowski, channel.jamiolkowski
-    assert first is not second and np.array_equal(first, second)
-    assert not first.flags.writeable
+def largest_held_array(channel: QuantumChannel) -> int:
+    """The entries of the largest array the channel's attributes hold, in lists and tuples too."""
     def arrays(x):
         if isinstance(x, np.ndarray):
             yield x
@@ -228,5 +277,28 @@ def test_block_given_channel_stores_no_dense_j():
             for y in x:
                 yield from arrays(y)
 
-    held = list(arrays(list(vars(channel).values())))
-    assert held and max(a.size for a in held) < spin.dim**4
+    return max(a.size for a in arrays(list(vars(channel).values())))
+
+
+def test_block_given_channel_stores_no_dense_j():
+    spin = SpinJ(20)
+    n = len(coupled_labels(spin, spin))
+    channel = covariant_channel(CovariantMixture(spin, spin, (1 / n,) * n))
+    first, second = channel.jamiolkowski, channel.jamiolkowski
+    assert first is not second and np.array_equal(first, second)
+    assert not first.flags.writeable
+    assert largest_held_array(channel) < spin.dim**4
+
+
+@pytest.mark.parametrize("action", ["deviation_avg", "apply"])
+def test_actions_on_blocks_peak_below_a_quarter_of_j_and_store_nothing(action):
+    # two_j = 20: a dense J (or Liouville matrix) is 441 x 441 complex, 3.1 MB
+    spin = SpinJ(20)
+    n = len(coupled_labels(spin, spin))
+    mix = CovariantMixture(spin, spin, tuple(np.random.default_rng(13).dirichlet([0.7] * n)))
+    channel, gens = covariant_channel(mix), su2_generators(spin)
+    rho = ginibre(spin.dim, spin.dim, 13)
+    call = {"deviation_avg": lambda: deviation_avg(channel, gens),
+            "apply": lambda: channel.apply(rho)}[action]
+    assert peak_bytes(call) < 0.25 * spin.dim**4 * 16
+    assert largest_held_array(channel) < spin.dim**4

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from noetherlab.chan import (
 from noetherlab.numkit import dagger, ginibre, haar_isometry, purity
 from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
-from support import depolarizing_channel, identity_channel, unitary_channel
+from support import depolarizing_channel, identity_channel, kron_liouville, unitary_channel
 
 
 class TestRepresentations:
@@ -90,7 +91,7 @@ class TestReshuffle:
         d_in, d_out = 3, 2
         q = haar_isometry(d_out * 2, d_in, 1)
         ks = [q[i * d_out:(i + 1) * d_out, :] for i in range(2)]
-        lv = sum(np.kron(k, k.conj()) for k in ks)
+        lv = kron_liouville(ks)
         omega = np.zeros(d_in * d_in, dtype=complex)
         omega[:: d_in + 1] = 1 / np.sqrt(d_in)
         ext = sum(np.kron(k, np.eye(d_in)) @ np.outer(omega, omega.conj())
@@ -408,6 +409,48 @@ class TestChannelFile:
         obj = {"d_in": 1, "d_out": 1, "repr": "liouville", "data": [[[value, 0]], [[0, 0], [0, 0]]]}
         with pytest.raises(ValueError, match=f"^channel {named} "):
             QuantumChannel.from_json_dict(obj)
+
+
+def reference_decode(m) -> np.ndarray:
+    """A matrix read entry by entry through ``complex(re, im)``."""
+    return np.array([[complex(re, im) for re, im in row] for row in m])
+
+
+class Decoded(QuantumChannel):
+    """Keeps the decoded form as given, unvalidated: ``from_json_dict``'s arrays themselves."""
+
+    def __init__(self, d_in, d_out, **form):
+        self.form = form
+
+
+class TestChannelFileBytes:
+    """The one-write encoder and the numpy decoder give what ``json.dump`` and a decoder of
+    one ``complex(re, im)`` per entry give, bit for bit."""
+
+    @pytest.mark.parametrize("representation", ["kraus", "liouville", "jamiolkowski"])
+    @pytest.mark.parametrize("channel", [
+        random_channel(2, 3, 2, 17), unitary_channel(-np.eye(2)), depolarizing_channel(3),
+    ], ids=["random", "minus_identity", "depolarizing"])
+    def test_save_writes_the_bytes_of_json_dump(self, tmp_path, channel, representation):
+        path = tmp_path / "chan.json"
+        channel.save_json(path, representation)
+        expected = io.StringIO()
+        json.dump(channel.to_json_dict(representation), expected)
+        assert path.read_text() == expected.getvalue()
+
+    @pytest.mark.parametrize("representation", ["kraus", "liouville", "jamiolkowski"])
+    def test_decoded_arrays_are_bit_identical(self, representation):
+        entries = [-0.0, 0, 2**1023, -(2**1023) - 12345, 2**1024 - 2**970 - 1, 2**53 + 1,
+                   0.1, -5e-324, 1, -3, 1e308, -0.0, 7, 2**63 + 5, -2.5, 0.0]
+        matrix = [[[entries[(4 * r + c) % 16], entries[(4 * r + c + 5) % 16]] for c in range(4)]
+                  for r in range(4)]
+        data = [matrix, matrix[::-1]] if representation == "kraus" else matrix
+        form = Decoded.from_json_dict(
+            {"d_in": 2, "d_out": 2, "repr": representation, "data": data}).form[representation]
+        for got, m in zip(form, data) if representation == "kraus" else [(form, data)]:
+            want = reference_decode(m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
 
 
 def dense_covariance_residual(channel, gens_in, gens_out):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the covariant SU(2) pipeline at one large spin and print one report line.
+"""Time the covariant SU(2) pipeline and the U(1) builder at one large size; print two lines.
 
     python scripts/large_spin_timing.py [--two-j 40] [--seed 1]
 
@@ -7,17 +7,21 @@ Draws one Dirichlet(0.7) mixture between two spin-j systems, then times
 ``covariant_channel`` + ``twirl`` + ``unitarity_complementary`` together in a
 warm process (the ITO basis is built first and not timed), and ``decompose``,
 ``unitarity_jamiolkowski`` and ``deviation_avg`` of the twirled channel, each on
-its own, and last ``extremal_channel(j, j, 2j)`` from its Kraus operators.
-Prints the five times, the residual of the complementary unitarity against
+its own, and ``extremal_channel(j, j, 2j)`` from its Kraus operators.  Prints the
+five times, the residual of the complementary unitarity against
 ``unitarity_su2_closed``, the peak RSS after ``covariant_channel`` + ``twirl``,
-after ``decompose`` + ``unitarity_jamiolkowski`` and after ``deviation_avg``
-(all read before ``unitarity_complementary`` builds its Kraus stack), and the
-process's peak RSS.  It reports; it gates nothing.
+after ``decompose`` + ``unitarity_jamiolkowski``, after ``deviation_avg`` and after
+``extremal_channel`` (all read before ``unitarity_complementary`` builds its Kraus
+stack), and the process's peak RSS.  The second line comes from a fresh Python
+process, started first: ``build_extremal`` + ``u1_bound`` + ``deviation_avg`` on the
+levels 0..two_j with Dirichlet(0.5) populations, their time and that process's peak
+RSS.  It reports; it gates nothing.
 """
 
 import argparse
 import pathlib
 import resource
+import subprocess
 import sys
 import time
 
@@ -25,7 +29,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from noetherlab import metrics, su2cov  # noqa: E402
+from noetherlab import bounds, metrics, su2cov, u1cov  # noqa: E402
 from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis  # noqa: E402
 
 
@@ -55,12 +59,13 @@ def run(two_j: int, seed: int) -> str:
     deviation_s = time.perf_counter() - t0
     deviation_rss_mb = peak_rss_mb()
     t0 = time.perf_counter()
+    su2cov.extremal_channel(spin, spin, 2 * two_j)
+    extremal_s = time.perf_counter() - t0
+    extremal_rss_mb = peak_rss_mb()
+    t0 = time.perf_counter()
     u = metrics.unitarity_complementary(channel)
     seconds += time.perf_counter() - t0
     residual = abs(u - metrics.unitarity_su2_closed(mix))
-    t0 = time.perf_counter()
-    su2cov.extremal_channel(spin, spin, 2 * two_j)
-    extremal_s = time.perf_counter() - t0
     return (f"two_j={two_j}: covariant_channel + twirl + unitarity_complementary "
             f"{seconds:.2f} s, decompose {decompose_s:.3f} s, "
             f"unitarity_jamiolkowski {jamiolkowski_s:.3f} s, deviation_avg {deviation_s:.3f} s, "
@@ -68,7 +73,21 @@ def run(two_j: int, seed: int) -> str:
             f"residual {residual:.1e} against unitarity_su2_closed, "
             f"peak RSS {twirl_rss_mb:.0f} MB after covariant_channel + twirl, "
             f"{analysis_rss_mb:.0f} MB after decompose + unitarity_jamiolkowski, "
-            f"{deviation_rss_mb:.0f} MB after deviation_avg, {peak_rss_mb():.0f} MB in all")
+            f"{deviation_rss_mb:.0f} MB after deviation_avg, "
+            f"{extremal_rss_mb:.0f} MB after extremal_channel, {peak_rss_mb():.0f} MB in all")
+
+
+def run_u1(two_j: int, seed: int) -> str:
+    spec = u1cov.EnergySpectrum(tuple(range(two_j + 1)))
+    pop = np.random.default_rng(seed).dirichlet([0.5] * spec.d, size=spec.d).T
+    gens = metrics.u1_generators(spec.levels)
+    t0 = time.perf_counter()
+    channel = u1cov.build_extremal(spec, pop)
+    bounds.u1_bound(channel)
+    metrics.deviation_avg(channel, gens)
+    seconds = time.perf_counter() - t0
+    return (f"U(1) levels 0..{two_j} (d={spec.d}): build_extremal + u1_bound + deviation_avg "
+            f"{seconds:.3f} s, peak RSS {peak_rss_mb():.0f} MB in all")
 
 
 if __name__ == "__main__":
@@ -77,4 +96,10 @@ if __name__ == "__main__":
     parser.add_argument("--two-j", type=int, default=40)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    # the U(1) process runs first: a child starts from its parent's peak RSS
+    u1_code = (f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
+               f"from large_spin_timing import run_u1; print(run_u1({args.two_j}, {args.seed}))")
+    u1_line = subprocess.run([sys.executable, "-c", u1_code],
+                             check=True, capture_output=True, text=True).stdout
     print(run(args.two_j, args.seed))
+    print(u1_line, end="")

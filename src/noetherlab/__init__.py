@@ -6,7 +6,7 @@ Modules:
 * ``su2rep``   -- exact Clebsch-Gordan data, spin operators, tensor-operator bases
 * ``chan``     -- the channel abstraction (Kraus/Liouville/Jamiolkowski/Stinespring)
 * ``su2cov``   -- rotation-covariant channels: extremal simplex, twirling, inversion
-* ``u1cov``    -- time-translation covariant channels: Bohr-masked Jamiolkowski states
+* ``u1cov``    -- time-translation covariant channels: one Kraus operator per Bohr frequency
 * ``metrics``  -- unitarity and average conservation-law deviation
 * ``bounds``   -- all trade-off inequalities as explicit checks
 * ``mcoracle`` -- seeded Monte Carlo oracles for the Haar-integral definitions

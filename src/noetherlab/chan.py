@@ -1,23 +1,19 @@
 """Quantum channels in five interconvertible representations.
 
-A channel is validated once (complete positivity and trace preservation,
-checked on the blocks of its Jamiolkowski state J) and is immutable
-afterwards: it copies the given form, and each form it stores is read-only.  J,
-whole or as the given blocks, is the one internal form, and every form not given is
-derived from it, so no number depends on the order the forms are read.  Kraus
-operators give J by one product; ``apply``, ``apply_adjoint`` and the trace check
-contract J's blocks; the Liouville matrix is built on each read and never stored.
+A channel is validated once (complete positivity and trace preservation, checked on
+the blocks of its Jamiolkowski state J) and is immutable afterwards: it copies the
+given form, and each form it stores is read-only.  J, as (index, block) pairs, is the
+one internal form; every form not given is derived from it, so no number depends on
+the order the forms are read.  ``J = (E (x) I)|Om><Om|`` with ``|Om> = sum_i |ii> /
+sqrt(d_in)`` has unit trace on ``H_out (x) H_in``; the Liouville matrix of row-stacked
+vectors, ``L[ab, cd] = d_in J[ac, bd]``, is built from it on each read.
 
-The Jamiolkowski state is normalized to unit trace, ``J = (E (x) I)|Om><Om|``
-with ``|Om> = sum_i |ii> / sqrt(d_in)``, living on ``H_out (x) H_in``; the
-Liouville matrix of row-stacked vectors is ``L[ab, cd] = d_in J[ac, bd]``, and
-both conversions live here.  Optional ``labels`` give each index r * d_in + c of
-J an integer (a Bohr frequency, or m_out - m_in): J must vanish between
-different labels, and from 64 rows on it is split into one block per label.
-A covariant channel can instead be given as such blocks, ``blocks=[(index,
-block), ...]``, one Hermitian block of J per entry on the flat indices it lists.
-It stores only its blocks: its dense ``jamiolkowski`` is built on each read and
-never stored.  Validation and the Kraus operators go one block at a time.
+Kraus operators give J by one product.  ``labels`` are their charges, one integer per
+index r * d_in + c (a Bohr frequency, or m_out - m_in): each operator's nonzero
+entries share one, and from 64 rows on the channel stores only J's label blocks, each
+the product of its label's operators.  A covariant channel can also be given as
+blocks, ``blocks=[(index, block), ...]``.  Unless J is one block, ``jamiolkowski`` is
+built on each read and never stored; the actions and the checks contract the blocks.
 """
 
 from __future__ import annotations
@@ -60,21 +56,45 @@ def _liouville_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> np.nda
     return _sealed(split.reshape(d_out**2, d_in**2) * d_in)
 
 
-#: J with fewer rows stays one block, labelled or not: one dense eigvalsh is cheaper there
+#: a labelled J with fewer rows stays whole: one dense eigvalsh is cheaper there
 #: (2 cores, SU(2) J: 0.14-0.24 against 0.20-0.28 ms at 49 rows, 0.47-0.72 against 0.32-0.44 at 81)
 _BLOCKED_FROM = 64
 
 
 def _kraus_from_blocks(blocks, d_out: int, d_in: int) -> list[np.ndarray]:
     """Kraus operators sqrt(d_in w) unvec(v) of the eigenpairs (w, v) of each (index, block)
-    of J with w > tol_psd, by ascending w (ties keep block order)."""
-    n = d_out * d_in
-    w, vecs, pos = np.empty(n), np.zeros((n, n), dtype=complex), 0
+    of J with w > tol_psd, by ascending w (ties keep block order), each v on its indices."""
+    found = []
     for index, block in blocks:
-        w[pos:pos + len(block)], vecs[index, pos:pos + len(block)] = np.linalg.eigh(block)
-        pos += len(block)
-    return [_sealed(np.sqrt(d_in * w[i]) * vecs[:, i].reshape(d_out, d_in))
-            for i in np.argsort(w, kind="stable") if w[i] > TOL.tol_psd]
+        w, v = np.linalg.eigh(block)
+        found += [(w[c], index, v[:, c]) for c in np.flatnonzero(w > TOL.tol_psd)]
+    ks = [np.zeros(d_out * d_in, dtype=complex) for _ in found]
+    for k, (w, index, v) in zip(ks, sorted(found, key=lambda pair: pair[0])):  # stable
+        k[index] = np.sqrt(d_in * w) * v
+    return [_sealed(k.reshape(d_out, d_in)) for k in ks]
+
+
+def _blocks_from_kraus(v: np.ndarray, labels, d_in: int) -> tuple:
+    """J = sum_k vec(K_k) vec(K_k)^dag / d_in of the rows v[k] = vec(K_k) as (index, block)
+    pairs: whole, or with labels from _BLOCKED_FROM rows on, one product per label."""
+    index, n = [np.arange(v.shape[1])], v.shape[1]
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise ValueError(f"labels must be {n} integers, one per Jamiolkowski index")
+        if not np.isfinite(v).all():  # NaN != 0 would otherwise read as a spanning entry
+            raise ChannelValidationError("channel representation has non-finite entries")
+        nonzero = v != 0
+        of = labels[nonzero.argmax(1)]
+        spans = nonzero & (labels != of[:, None])
+        if spans.any():
+            raise ChannelValidationError(
+                f"Kraus operator {spans.any(1).argmax()} spans different labels")
+        if n >= _BLOCKED_FROM:
+            order = np.argsort(labels, kind="stable")
+            index = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    parts = (v if len(index) == 1 else v[np.ix_(of == labels[i[0]], i)] for i in index)
+    return tuple((_sealed(i), _sealed(w.T @ w.conj() / d_in)) for i, w in zip(index, parts))
 
 
 def _read_blocks(blocks, n: int) -> tuple:
@@ -90,62 +110,54 @@ def _read_blocks(blocks, n: int) -> tuple:
 
 class QuantumChannel:
     """A CPTP map between a d_in- and a d_out-dimensional system.  ``blocks`` holds J as
-    read-only (index, block) pairs: the given blocks, or J whole for a dense form."""
+    read-only (index, block) pairs: the given or label blocks, or J whole."""
 
     def __init__(self, d_in: int, d_out: int, *, kraus=None, liouville=None,
                  jamiolkowski=None, stinespring=None, labels=None, blocks=None):
-        if (sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring, blocks)) != 1
-                or blocks is not None and labels is not None):
-            raise ValueError("provide exactly one representation (labels only with a dense one)")
+        if sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring, blocks)) != 1:
+            raise ValueError("provide exactly one representation")
+        if labels is not None and kraus is None and stinespring is None:
+            raise ValueError("labels go only with Kraus operators or a Stinespring isometry")
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self._kraus = self._jamiolkowski = None
-        n, coupled = self.d_out * self.d_in, False
+        self._kraus = None
+        n = self.d_out * self.d_in
         if blocks is not None:
-            self.blocks = self._split = _read_blocks(blocks, n)
+            self.blocks = _read_blocks(blocks, n)
         else:
             # the given form is copied, so the caller cannot edit it, then converted down to J
             if stinespring is not None:
                 v = np.asarray(stinespring, dtype=complex)
                 if v.ndim != 2 or v.shape[1] != self.d_in or v.shape[0] % self.d_out:
                     raise ValueError("Stinespring isometry must be (d_out * d_env) x d_in")
-                kraus = list(v.reshape(self.d_out, -1, self.d_in).transpose(1, 0, 2))
-            if kraus is not None:
-                ks = [np.array(k, dtype=complex) for k in kraus]
-                if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
-                    raise ValueError("Kraus operators must be d_out x d_in")
-                self._kraus = [_sealed(k) for k in ks]
-                v = np.stack(ks).reshape(len(ks), n)  # row k is vec(K_k)
-                jamiolkowski = v.T @ v.conj() / self.d_in
+                kraus = v.reshape(self.d_out, -1, self.d_in).transpose(1, 0, 2)
             if liouville is not None:
                 m = np.asarray(liouville, dtype=complex)
                 if m.shape != (self.d_out**2, self.d_in**2):
                     raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
                 jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
-            j = _sealed(np.array(jamiolkowski, dtype=complex))
-            if j.shape != (n, n):
-                raise ValueError(f"Jamiolkowski state must be {n} x {n}")
-            self._jamiolkowski = j
-            self.blocks = self._split = ((_sealed(np.arange(n)), j),)  # J whole
+            if kraus is not None:
+                ks = [np.asarray(k, dtype=complex) for k in kraus]
+                if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
+                    raise ValueError("Kraus operators must be d_out x d_in")
+                ks = _sealed(np.array(ks))
+                self._kraus = list(ks)
+                self.blocks = _blocks_from_kraus(ks.reshape(len(ks), n), labels, self.d_in)
+            else:
+                j = np.array(jamiolkowski, dtype=complex)
+                if j.shape != (n, n):
+                    raise ValueError(f"Jamiolkowski state must be {n} x {n}")
+                self.blocks = ((_sealed(np.arange(n)), _sealed(j)),)
+        # one block not given as such is J whole, on the indices 0..n-1
+        self._jamiolkowski = self.blocks[0][1] if blocks is None and len(self.blocks) == 1 else None
         if not all(np.isfinite(b).all() for _, b in self.blocks):
             raise ChannelValidationError("channel representation has non-finite entries")
-        if labels is not None:  # a dense J is checked and eigendecomposed per label
-            j, labels = self._jamiolkowski, np.asarray(labels)
-            if labels.shape != (n,):
-                raise ValueError(f"labels must be {n} integers, one per Jamiolkowski index")
-            coupled = bool(np.any((labels[:, None] != labels) & (j != 0)))
-            if n >= _BLOCKED_FROM and not coupled:
-                order = np.argsort(labels, kind="stable")
-                self._split = tuple((i, j[np.ix_(i, i)]) for i in
-                                    np.split(order, np.flatnonzero(np.diff(labels[order])) + 1))
         # validation: Hermiticity and positivity per checked block, trace preservation E_adj(I) = I
-        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self._split)
+        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self.blocks)
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
-        if coupled:
-            raise ChannelValidationError("Jamiolkowski state couples different labels")
         self.cp_min_eig = min(float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
-                              for _, b in self._split)
+                              for _, b in self.blocks)
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
@@ -164,7 +176,7 @@ class QuantumChannel:
 
     @property
     def jamiolkowski(self) -> np.ndarray:
-        """The dense J: stored unless the channel was given as blocks, then built on each read."""
+        """The dense J: stored when it is one block, else built from the blocks on each read."""
         if self._jamiolkowski is not None:
             return self._jamiolkowski
         j = np.zeros((self.d_out * self.d_in,) * 2, dtype=complex)
@@ -188,7 +200,7 @@ class QuantumChannel:
     def kraus(self) -> list[np.ndarray]:
         """The given Kraus operators, or else the eigendecomposition of J's label blocks."""
         if self._kraus is None:
-            self._kraus = _kraus_from_blocks(self._split, self.d_out, self.d_in)
+            self._kraus = _kraus_from_blocks(self.blocks, self.d_out, self.d_in)
         return self._kraus
 
     @property

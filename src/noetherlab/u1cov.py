@@ -1,10 +1,10 @@
 """Time-translation covariant channels on a fixed non-degenerate spectrum.
 
-Energies live on an integer grid, so Bohr frequencies are exact integers.
-A channel is stored as its Jamiolkowski state, which vanishes between level
-pairs with different Bohr frequencies E_m - E_n (each pair's frequency is
-its Bohr label); the diagonal of the state is the population-transfer
-stochastic matrix.
+Energies live on an integer grid, so Bohr frequencies are exact integers.  A
+channel is given by Kraus operators that each carry one Bohr frequency E_m - E_n
+(the label of level pair (m, n)), so its Jamiolkowski state vanishes between
+pairs with different frequencies; the diagonal of the state is the
+population-transfer stochastic matrix.
 
 Input and output systems share the same dimension and spectrum.  The
 rank-1-block construction below yields extremal channels but is known not
@@ -82,13 +82,13 @@ def assert_stochastic(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError("population matrix must be square")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("population matrix has non-finite entries")
-    if np.any(p < -TOL.tol_eq):
+    if (p < -TOL.tol_eq).any():
         raise ValueError("population matrix has negative entries")
-    if np.any(p > 1.0 + TOL.tol_eq):  # also keeps the column sums below overflow
+    if (p > 1.0 + TOL.tol_eq).any():  # also keeps the column sums below overflow
         raise ValueError("population matrix has entries above 1")
-    if np.any(np.abs(p.sum(axis=-2) - 1.0) > TOL.tol_eq):
+    if (abs(p.sum(axis=-2) - 1.0) > TOL.tol_eq).any():
         raise ValueError("population matrix columns must sum to 1")
 
 
@@ -103,33 +103,37 @@ def _population(spectrum: EnergySpectrum, pop) -> np.ndarray:
 
 
 class U1BlockChannel(QuantumChannel):
-    """A time-translation covariant channel on ``spectrum``, validated on construction.
-    Its read-only Jamiolkowski state vanishes between indices with different
-    ``spectrum.bohr_labels()``, so each Bohr frequency is one block.
-    """
+    """A time-translation covariant channel on ``spectrum``, validated on construction: the
+    nonzero entries K[m, n] of each Kraus operator share one Bohr frequency E_m - E_n."""
 
-    def __init__(self, spectrum: EnergySpectrum, jamiolkowski):
-        super().__init__(spectrum.d, spectrum.d, jamiolkowski=jamiolkowski,
-                         labels=spectrum.bohr_labels())
+    def __init__(self, spectrum: EnergySpectrum, kraus):
+        super().__init__(spectrum.d, spectrum.d, kraus=kraus, labels=spectrum.bohr_labels())
         self.spectrum = spectrum
 
     def population_matrix(self) -> np.ndarray:
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""
-        d = self.spectrum.d
-        return d * np.real(np.diag(self.jamiolkowski)).reshape(d, d)
+        diag = np.empty(self.d_in**2)  # d_in = d_out = spectrum.d
+        for index, block in self.blocks:
+            diag[index] = np.real(np.diagonal(block))
+        return self.d_in * diag.reshape(self.d_in, self.d_in)
 
 
 def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
                    phases=None) -> U1BlockChannel:
-    """Coherify a stochastic matrix into a covariant channel whose blocks are
-    rank-1 projectors with amplitudes sqrt(gamma) e^{i phi} / sqrt(d).
+    """Coherify a stochastic matrix into a covariant channel with one Kraus operator
+    per Bohr frequency b that some gamma[m, n] > 0 carries: K_b[m, n] =
+    e^{i phi} sqrt(gamma[m, n]) where E_m - E_n = b, and 0 elsewhere, ascending in b.
+    A frequency with no weight gives no operator.  Each J block is rank 1.
 
     ``phases`` is a list (or tuple) of (bohr, output_index, radians) triples,
     the form a JSON spec gives.  Missing phases are 0; a phase for a pair
     absent from the block basis is an error.
     """
-    bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
-    if bad:  # True, "0.5" or None would be read as a number
+    if isinstance(gamma, np.ndarray) and gamma.dtype.kind in "fiu":  # numbers: check the size
+        bad = gamma[~(abs(gamma) < 2**53)].tolist()
+    else:  # True, "0.5" or None would be read as a number
+        bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
+    if bad:
         raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
     gamma = _population(spectrum, gamma)
     if gamma.ndim != 2:
@@ -152,10 +156,9 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     for pair, value in phase_map.items():
         phi[pair_index[pair]] = value
     # round-off negatives, down to -tol_eq as assert_stochastic allows, are clipped to 0
-    amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0) / d)
-    # + 0 turns the -0.0 entries of the outer product into 0.0
-    j = np.where(labels[:, None] == labels, np.outer(amp, amp.conj()), 0) + 0
-    return U1BlockChannel(spectrum=spectrum, jamiolkowski=j)
+    amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0))
+    weighted = np.array(sorted(set(labels[amp != 0].tolist())))  # frequencies with weight
+    return U1BlockChannel(spectrum, np.where(labels == weighted[:, None], amp, 0).reshape(-1, d, d))
 
 
 @dataclass(frozen=True)

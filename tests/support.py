@@ -1,7 +1,8 @@
 """Fixtures and oracles the tests build from the package's primitives.
 
 The fixtures are channels (identity, unitary, depolarizing, dephasing) and the
-simplex vertices as mixtures; ``peak_bytes`` measures a call's traced peak.
+simplex vertices as mixtures; ``peak_bytes`` measures a call's traced peak, and
+``largest_held_array`` the largest array a channel keeps.
 The oracles share no code path with what they check: rotation unitaries and
 spin-coherent states by matrix exponential, f_1 = kappa ||J_in|| / ||J_out||
 from the rational polarization factor, and a channel's action as products with
@@ -35,12 +36,11 @@ def depolarizing_channel(d: int) -> QuantumChannel:
 
 
 def dephasing_channel(spectrum: EnergySpectrum, p: float) -> U1BlockChannel:
-    """Partial dephasing: populations untouched, coherences damped by 1 - p."""
-    d = spectrum.d
-    diagonal_pairs = np.flatnonzero(spectrum.bohr_labels() == 0)
-    j = np.zeros((d * d, d * d), dtype=complex)
-    j[np.ix_(diagonal_pairs, diagonal_pairs)] = ((1.0 - p) * np.ones((d, d)) + p * np.eye(d)) / d
-    return U1BlockChannel(spectrum, j)
+    """Partial dephasing: populations untouched, coherences damped by 1 - p.  Its Kraus
+    operators sqrt(1 - p) I and sqrt(p) |m><m| all carry Bohr frequency 0."""
+    eye = np.eye(spectrum.d)
+    return U1BlockChannel(spectrum, [np.sqrt(1.0 - p) * eye]
+                          + [np.sqrt(p) * np.diag(row) for row in eye])
 
 
 def kron_liouville(kraus) -> np.ndarray:
@@ -125,6 +125,18 @@ def scaling_vector(mix: CovariantMixture) -> np.ndarray:
             for two_lc, p in zip(labels, mix.weights))
         for two_l in two_ls
     ])
+
+
+def largest_held_array(channel: QuantumChannel) -> int:
+    """The entries of the largest array the channel's attributes hold, in lists and tuples too."""
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                yield from arrays(y)
+
+    return max(a.size for a in arrays(list(vars(channel).values())))
 
 
 def peak_bytes(fn) -> int:

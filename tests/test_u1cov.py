@@ -133,7 +133,8 @@ class TestBuildExtremal:
 
     def test_population_readback(self):
         rng = np.random.default_rng(0)
-        for levels in [(0, 1), (0, 1, 3), (0, 2, 3, 7)]:
+        # 81 rows from nine levels on: J is held as one block per Bohr frequency
+        for levels in [(0, 1), (0, 1, 3), (0, 2, 3, 7), (0, 1, 2, 4, 5, 7, 8, 9, 12)]:
             spec = EnergySpectrum(levels)
             gamma = random_stochastic(spec.d, rng)
             ch = build_extremal(spec, gamma)
@@ -192,8 +193,10 @@ class TestBuildExtremal:
         pairs = [(a - b, m) for m, a in enumerate(levels) for b in levels]
         phases = {pair: float(rng.uniform(-4, 4)) for pair in pairs if rng.random() < 0.5}
         triples = [(bohr, m, value) for (bohr, m), value in phases.items()]
-        ch = build_extremal(EnergySpectrum(tuple(levels)), gamma, phases=triples)
-        assert ch.jamiolkowski.tobytes() == block_assembly(levels, gamma, phases).tobytes()
+        j = build_extremal(EnergySpectrum(tuple(levels)), gamma, phases=triples).jamiolkowski
+        assert np.max(np.abs(j - block_assembly(levels, gamma, phases))) <= 1e-15
+        parts = j.view(float)
+        assert not np.any(np.signbit(parts[parts == 0]))
 
     def test_block_support_is_exact(self):
         # entries of J connecting pairs with different Bohr frequencies vanish
@@ -235,23 +238,21 @@ class TestBuildExtremal:
 class TestU1BlockChannel:
     def test_rejects_coupling_of_different_frequencies(self):
         spec = EnergySpectrum((0, 1))
-        j = dephasing_channel(spec, 0.0).jamiolkowski.copy()
-        j[0, 1] = j[1, 0] = 1e-300  # Bohr labels 0 and -1
-        with pytest.raises(ChannelValidationError, match="couples different labels"):
-            U1BlockChannel(spec, j)
+        k = np.eye(2)
+        k[0, 1] = 1e-300  # Bohr labels 0 and -1 in one operator
+        with pytest.raises(ChannelValidationError, match="^Kraus operator 0 spans different"):
+            U1BlockChannel(spec, [k])
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="must be 4 x 4"):
-            U1BlockChannel(EnergySpectrum((0, 1)), np.eye(9) / 9)
+        with pytest.raises(ValueError, match="Kraus operators must be d_out x d_in"):
+            U1BlockChannel(EnergySpectrum((0, 1)), [np.eye(3)])
 
-    def test_rejects_non_cp_state_at_construction(self):
+    def test_rejects_operators_that_do_not_preserve_trace(self):
         spec = EnergySpectrum((0, 1))
-        j = dephasing_channel(spec, 0.0).jamiolkowski.copy()
-        # pairs 0 and 3 share Bohr label 0, so the mask allows the coherence,
-        # but the block [[0.5, 0.9], [0.9, 0.5]] has eigenvalue -0.4
-        j[0, 3] = j[3, 0] = 0.9
-        with pytest.raises(ChannelValidationError, match="not completely positive"):
-            U1BlockChannel(spec, j)
+        # each operator carries one Bohr frequency, but sum K^dag K = diag(1.5, 1)
+        ks = [np.eye(2), np.sqrt(0.5) * np.array([[0.0, 0.0], [1.0, 0.0]])]
+        with pytest.raises(ChannelValidationError, match="not trace preserving"):
+            U1BlockChannel(spec, ks)
 
     def test_is_a_validated_quantum_channel(self):
         ch = build_extremal(EnergySpectrum((0, 1, 3)), np.eye(3), phases=[(0, 1, 0.4)])

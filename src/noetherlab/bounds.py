@@ -24,9 +24,8 @@ from .metrics import (
 )
 from .numkit import TOL
 from .su2cov import CovariantMixture
-# u1_structure_stats is unused here, but the benchmark's tracer test
-# (perfbench/test_perfbench.py) expects it bound as bounds.u1_structure_stats.
-from .u1cov import U1BlockChannel, u1_deviation, u1_structure_stats  # noqa: F401
+# u1_deviation and u1_structure_stats are unused; the tracer test in perfbench expects them here
+from .u1cov import U1BlockChannel, _u1_deviation, u1_deviation, u1_structure_stats  # noqa: F401
 
 __all__ = [
     "BoundCheck",
@@ -152,10 +151,10 @@ def u1_cap(d: int, g: int, width: int, delta, u) -> BoundCheck:
 
 
 def u1_bound(ch: U1BlockChannel) -> BoundCheck:
-    """Energy-conservation trade-off: unitarity is capped once the channel
-    moves populations (see :func:`u1_cap`)."""
+    """Energy-conservation trade-off: unitarity is capped once the channel moves populations
+    (see :func:`u1_cap`).  Reads the validated channel's population matrix unchecked."""
     spec = ch.spectrum
-    delta = u1_deviation(spec, ch.population_matrix())
+    delta = _u1_deviation(spec, ch.population_matrix())
     return u1_cap(spec.d, spec.degeneracy(), spec.width, delta, unitarity_jamiolkowski(ch))
 
 

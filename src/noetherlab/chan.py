@@ -1,7 +1,7 @@
 """Quantum channels in five interconvertible representations.
 
-A channel is validated once (complete positivity and trace preservation, checked on
-the blocks of its Jamiolkowski state J) and is immutable afterwards: it copies the
+A channel is validated once (CP on the blocks of its Jamiolkowski state J, TP as the one
+contraction of J with I that is E_adj(I)) and is immutable afterwards: it copies the
 given form, and each form it stores is read-only.  J, as (index, block) pairs, is the
 one internal form; every form not given is derived from it, so no number depends on
 the order the forms are read.  ``J = (E (x) I)|Om><Om|`` with ``|Om> = sum_i |ii> /
@@ -135,7 +135,11 @@ class QuantumChannel:
                 m = np.asarray(liouville, dtype=complex)
                 if m.shape != (self.d_out**2, self.d_in**2):
                     raise ValueError(f"Liouville matrix must be {self.d_out**2} x {self.d_in**2}")
-                jamiolkowski = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)
+                j = _jamiolkowski_from_liouville(m, self.d_out, self.d_in)  # a new array already
+            elif jamiolkowski is not None:
+                j = np.array(jamiolkowski, dtype=complex)
+                if j.shape != (n, n):
+                    raise ValueError(f"Jamiolkowski state must be {n} x {n}")
             if kraus is not None:
                 ks = [np.asarray(k, dtype=complex) for k in kraus]
                 if not ks or any(k.shape != (self.d_out, self.d_in) for k in ks):
@@ -144,9 +148,6 @@ class QuantumChannel:
                 self._kraus = list(ks)
                 self.blocks = _blocks_from_kraus(ks.reshape(len(ks), n), labels, self.d_in)
             else:
-                j = np.array(jamiolkowski, dtype=complex)
-                if j.shape != (n, n):
-                    raise ValueError(f"Jamiolkowski state must be {n} x {n}")
                 self.blocks = ((_sealed(np.arange(n)), _sealed(j)),)
         # one block not given as such is J whole, on the indices 0..n-1
         self._jamiolkowski = self.blocks[0][1] if blocks is None and len(self.blocks) == 1 else None
@@ -161,7 +162,7 @@ class QuantumChannel:
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        unital_in = self.apply_adjoint(np.eye(self.d_out)) - np.eye(self.d_in)
+        unital_in = self.d_in * self._contract(np.eye(self.d_out), True) - np.eye(self.d_in)
         self.tp_residual = float(np.max(np.abs(unital_in))) / self.d_in
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(

@@ -42,7 +42,8 @@ def _real(x) -> bool:
 
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """Two or more strictly increasing integer levels of a non-degenerate Hamiltonian."""
+    """Two or more strictly increasing integer levels of a non-degenerate Hamiltonian; its
+    Bohr labels, frequencies and degeneracy are computed once, at construction."""
 
     levels: tuple
 
@@ -55,7 +56,12 @@ class EnergySpectrum:
         lv = tuple(int(x) for x in lv)
         if len(lv) < 2 or any(b <= a for a, b in zip(lv, lv[1:])):
             raise ValueError("levels must be two or more strictly increasing integers")
-        object.__setattr__(self, "levels", lv)
+        labels = pair_labels(lv, lv)
+        labels.flags.writeable = False
+        tally = Counter(labels.tolist())
+        # plain attributes, not fields: equality and hash read the levels only
+        self.__dict__.update(levels=lv, _labels=labels, _frequencies=sorted(tally),
+                             _degeneracy=max(n for b, n in tally.items() if b != 0))
 
     @property
     def d(self) -> int:
@@ -66,15 +72,16 @@ class EnergySpectrum:
         return self.levels[-1] - self.levels[0]
 
     def bohr_labels(self) -> np.ndarray:
-        """E_m - E_n for each Jamiolkowski index m * d + n."""
-        return pair_labels(self.levels, self.levels)
+        """E_m - E_n for each Jamiolkowski index m * d + n, read-only."""
+        return self._labels
 
     def bohr_frequencies(self) -> list[int]:
-        return sorted(set(self.bohr_labels().tolist()))
+        """The distinct Bohr frequencies, ascending, as a new list."""
+        return list(self._frequencies)
 
     def degeneracy(self) -> int:
         """g: the largest number of level pairs sharing one nonzero Bohr frequency."""
-        return max(n for b, n in Counter(self.bohr_labels().tolist()).items() if b != 0)
+        return self._degeneracy
 
 
 def assert_stochastic(p: np.ndarray) -> None:
@@ -129,10 +136,8 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     the form a JSON spec gives.  Missing phases are 0; a phase for a pair
     absent from the block basis is an error.
     """
-    if isinstance(gamma, np.ndarray) and gamma.dtype.kind in "fiu":  # numbers: check the size
-        bad = gamma[~(abs(gamma) < 2**53)].tolist()
-    else:  # True, "0.5" or None would be read as a number
-        bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
+    # as objects, so that True, "0.5" or None are not read as numbers
+    bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
     if bad:
         raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
     gamma = _population(spectrum, gamma)
@@ -145,18 +150,19 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
         if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not all(map(_real, entry)):
             raise ValueError(f"phase {entry!r} is not a [bohr, output_index, radians] triple")
         phase_map[tuple(entry[:2])] = float(entry[2])
-
     d = spectrum.d
     labels = spectrum.bohr_labels()
-    pair_index = {(bohr, k // d): k for k, bohr in enumerate(labels.tolist())}
-    unmatched = [pair for pair in phase_map if pair not in pair_index]
-    if unmatched:
-        raise ValueError(f"phases name no level pair (bohr, output_index): {unmatched}")
-    phi = np.zeros(d * d)
-    for pair, value in phase_map.items():
-        phi[pair_index[pair]] = value
     # round-off negatives, down to -tol_eq as assert_stochastic allows, are clipped to 0
-    amp = np.exp(1j * phi) * np.sqrt(np.maximum(gamma.ravel(), 0.0))
+    amp = np.sqrt(np.maximum(gamma.ravel(), 0.0)).astype(complex)
+    if phase_map:  # else every phase is 0, and e^{i 0} sqrt(gamma) is sqrt(gamma) bit for bit
+        pair_index = {(bohr, k // d): k for k, bohr in enumerate(labels.tolist())}
+        unmatched = [pair for pair in phase_map if pair not in pair_index]
+        if unmatched:
+            raise ValueError(f"phases name no level pair (bohr, output_index): {unmatched}")
+        phi = np.zeros(d * d)
+        for pair, value in phase_map.items():
+            phi[pair_index[pair]] = value
+        amp = np.exp(1j * phi) * amp
     weighted = np.array(sorted(set(labels[amp != 0].tolist())))  # frequencies with weight
     return U1BlockChannel(spectrum, np.where(labels == weighted[:, None], amp, 0).reshape(-1, d, d))
 
@@ -211,7 +217,11 @@ def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
 
     A ``(..., d, d)`` stack gives an array of shape ``(...)``; one matrix, a float.
     """
-    pop = _population(spectrum, pop)
+    return _u1_deviation(spectrum, _population(spectrum, pop))
+
+
+def _u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
+    """:func:`u1_deviation` of a population matrix (or stack) known to be stochastic."""
     e = np.asarray(spectrum.levels, dtype=float)
     d = spectrum.d
     # diagonal of dH: sum_m P[m, n] (E_m - E_n) per input level n

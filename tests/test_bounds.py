@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noetherlab.bounds import (
+    BoundCheck,
     diamond_bound_given_value,
     lower_bound_multiplicity_free,
     su2_bounds,
@@ -16,7 +19,12 @@ from noetherlab.chan import (
     covariance_residual,
     random_channel,
 )
-from noetherlab.metrics import su2_generators, unitarity_su2_closed, deviation_su2_closed
+from noetherlab.metrics import (
+    deviation_su2_closed,
+    su2_generators,
+    unitarity_jamiolkowski,
+    unitarity_su2_closed,
+)
 from noetherlab.numkit import TOL, haar_isometry
 from noetherlab.su2cov import (
     CovariantMixture,
@@ -27,7 +35,7 @@ from noetherlab.su2cov import (
     twirl,
 )
 from noetherlab.su2rep import SpinJ, coupled_labels, spin_operators
-from noetherlab.u1cov import EnergySpectrum, build_extremal, u1_deviation
+from noetherlab.u1cov import EnergySpectrum, U1BlockChannel, build_extremal, u1_deviation
 from support import dephasing_channel, identity_channel, pure_mixture, unitary_channel
 
 
@@ -214,6 +222,30 @@ class TestU1Bound:
         cap = u1_cap(spec.d, spec.degeneracy(), spec.width, delta, chk.lhs)
         assert (cap.name, cap.lhs, cap.rhs, cap.applicable) == (
             chk.name, chk.lhs, chk.rhs, chk.applicable)
+
+    @given(st.integers(2, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sides_match_the_checked_route_bit_for_bit(self, d, with_phases, seed):
+        # u1_bound reads the validated channel's population matrix without u1_deviation's check
+        rng = np.random.default_rng(seed)
+        levels = tuple(sorted(rng.choice(12, size=d, replace=False).tolist()))
+        spec = EnergySpectrum(levels)
+        phases = [(a - b, m, float(rng.uniform(-4, 4))) for m, a in enumerate(levels)
+                  for b in levels if rng.random() < 0.5] if with_phases else None
+        ch = build_extremal(spec, rng.dirichlet([0.9] * d, size=d).T, phases=phases)
+        chk = u1_bound(ch)
+        cap = u1_cap(d, spec.degeneracy(), spec.width, u1_deviation(spec, ch.population_matrix()),
+                     unitarity_jamiolkowski(ch))
+        assert (chk.lhs, chk.rhs) == (cap.lhs, cap.rhs)
+
+    def test_evaluates_every_channel_the_constructor_accepts(self):
+        # tp_residual is 7.5e-10 (the marginal gap over d_in), inside tol_eq, while the
+        # populations exceed 1 by 1.5e-9, beyond it: the bound is evaluated, not refused
+        ch = U1BlockChannel(EnergySpectrum((0, 1)), [np.sqrt(1 + 1.5e-9) * np.eye(2)])
+        assert ch.tp_residual < TOL.tol_eq < np.max(ch.population_matrix()) - 1
+        chk = u1_bound(ch)
+        assert isinstance(chk, BoundCheck)
+        assert -4e-9 < chk.slack < -2e-9
 
 
 class TestDiamondBound:

@@ -19,7 +19,13 @@ from noetherlab.chan import (
 from noetherlab.numkit import dagger, ginibre, haar_isometry, purity
 from noetherlab.su2cov import CovariantMixture, covariant_channel, extremal_channel
 from noetherlab.su2rep import SpinJ
-from support import depolarizing_channel, identity_channel, kron_liouville, unitary_channel
+from support import (
+    depolarizing_channel,
+    identity_channel,
+    kron_liouville,
+    peak_bytes,
+    unitary_channel,
+)
 
 
 class TestRepresentations:
@@ -254,6 +260,34 @@ class TestValidation:
         assert np.max(np.abs(out - dagger(out))) < 1e-12
         assert abs(np.trace(out) - 1) < 1e-12
         assert np.min(np.linalg.eigvalsh(out)) > -1e-12
+
+
+class TestTraceResidual:
+    """The TP check contracts J with I once; its residual is still the adjoint's marginal gap."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_channel(3, 2, 2, 7),
+        lambda: QuantumChannel(2, 3, jamiolkowski=random_channel(2, 3, 4, 8).jamiolkowski),
+        lambda: QuantumChannel(3, 2, liouville=random_channel(3, 2, 3, 9).liouville),
+        lambda: extremal_channel(SpinJ(2), SpinJ(2), 2),
+        lambda: extremal_channel(SpinJ(7), SpinJ(9), 6),  # 80 rows: label blocks
+        lambda: extremal_channel(SpinJ(9), SpinJ(7), 4),
+        lambda: covariant_channel(CovariantMixture(SpinJ(3), SpinJ(5), (0.2, 0.3, 0.1, 0.4))),
+        lambda: covariant_channel(CovariantMixture(SpinJ(4), SpinJ(4), (0.1, 0.2, 0.3, 0.3, 0.1))),
+    ], ids=["dense_kraus", "dense_jamiolkowski", "dense_liouville", "labelled_whole",
+            "labelled_blocks", "labelled_blocks_narrowing", "blocks_widening", "blocks_square"])
+    def test_is_the_adjoint_marginal_gap_bit_for_bit(self, make):
+        ch = make()
+        gap = np.max(np.abs(ch.apply_adjoint(np.eye(ch.d_out)) - np.eye(ch.d_in))) / ch.d_in
+        assert ch.tp_residual == float(gap)
+
+    def test_liouville_input_is_copied_once(self):
+        # the Liouville matrix converts to a new J, which is kept without a second copy
+        ch = extremal_channel(SpinJ(20), SpinJ(20), 20)
+        j, lv = np.array(ch.jamiolkowski), np.array(ch.liouville)
+        from_j = peak_bytes(lambda: QuantumChannel(21, 21, jamiolkowski=j))
+        from_lv = peak_bytes(lambda: QuantumChannel(21, 21, liouville=lv))
+        assert from_lv <= 1.05 * from_j
 
 
 class TestAdjoint:

@@ -81,6 +81,9 @@ class TestSpectrum:
         assert spec.degeneracy() == 3  # equidistant spectrum maximizes it
         assert EnergySpectrum((0, 1)).degeneracy() == 1
         assert EnergySpectrum((0, 1, 3)).degeneracy() == 1
+        assert EnergySpectrum((0, 1, 2, 4)).degeneracy() == 2
+        assert EnergySpectrum((0, 2, 4, 6, 7)).degeneracy() == 3
+        assert EnergySpectrum((-5, 0, 5, 10, 15, 20)).degeneracy() == 5
 
     def test_bohr_tally_matches_a_count_per_frequency(self):
         rng = np.random.default_rng(12)
@@ -105,6 +108,24 @@ class TestSpectrum:
         assert (np.flatnonzero(labels == 2) // 3).tolist() == [2]
         assert (np.flatnonzero(labels == 3) // 3).tolist() == [2]
         assert spec.bohr_frequencies() == [-3, -2, -1, 0, 1, 2, 3]
+
+    def test_bohr_labels_are_one_read_only_array(self):
+        spec = EnergySpectrum((0, 1, 3))
+        assert spec.bohr_labels() is spec.bohr_labels()
+        with pytest.raises(ValueError, match="read-only"):
+            spec.bohr_labels()[0] = 7
+
+    def test_frequencies_are_a_fresh_list(self):
+        spec = EnergySpectrum((0, 1, 3))
+        spec.bohr_frequencies().append(99)
+        assert spec.bohr_frequencies() == [-3, -2, -1, 0, 1, 2, 3]
+        assert spec.bohr_frequencies() is not spec.bohr_frequencies()
+
+    def test_equality_and_hash_read_the_levels_only(self):
+        a, b = EnergySpectrum((0, 1, 3)), EnergySpectrum([0, 1.0, np.int64(3)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != EnergySpectrum((0, 1, 4))
+        assert repr(a) == "EnergySpectrum(levels=(0, 1, 3))"
 
 
 class TestPopulationSize:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the covariant SU(2) pipeline and the U(1) builder at one large size; print two lines.
+"""Time the covariant SU(2) pipeline, the U(1) builder and a channel file at one large size;
+print three lines.
 
     python scripts/large_spin_timing.py [--two-j 40] [--seed 1]
 
@@ -15,7 +16,9 @@ after ``decompose`` + ``unitarity_jamiolkowski``, after ``deviation_avg`` and af
 stack), and the process's peak RSS.  The second line comes from a fresh Python
 process, started first: ``build_extremal`` + ``u1_bound`` + ``deviation_avg`` on the
 levels 0..two_j with Dirichlet(0.5) populations, their time and that process's peak
-RSS.  It reports; it gates nothing.
+RSS.  The third comes from another fresh process: ``save_json`` and then ``load_json`` of
+``extremal_channel(j, j, 2j)`` as Kraus operators, their times, the loaded channel's block
+count and that process's peak RSS.  It reports; it gates nothing.
 """
 
 import argparse
@@ -23,13 +26,14 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from noetherlab import bounds, metrics, su2cov, u1cov  # noqa: E402
+from noetherlab import bounds, chan, metrics, su2cov, u1cov  # noqa: E402
 from noetherlab.su2rep import SpinJ, coupled_labels, ito_basis  # noqa: E402
 
 
@@ -90,16 +94,38 @@ def run_u1(two_j: int, seed: int) -> str:
             f"{seconds:.3f} s, peak RSS {peak_rss_mb():.0f} MB in all")
 
 
+def run_file(two_j: int) -> str:
+    spin = SpinJ(two_j)
+    channel = su2cov.extremal_channel(spin, spin, 2 * two_j)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "channel.json"
+        t0 = time.perf_counter()
+        channel.save_json(path)
+        save_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        loaded = chan.QuantumChannel.load_json(path)
+        load_s = time.perf_counter() - t0
+    return (f"channel file of extremal_channel(j, j, 2j), two_j={two_j}: save_json {save_s:.2f} s, "
+            f"load_json {load_s:.2f} s, {len(loaded.blocks)} blocks, "
+            f"peak RSS {peak_rss_mb():.0f} MB in all")
+
+
+def fresh(call: str) -> str:
+    """The line ``call`` returns, run in a fresh Python process."""
+    code = (f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
+            f"from large_spin_timing import *; print({call})")
+    return subprocess.run([sys.executable, "-c", code],
+                          check=True, capture_output=True, text=True).stdout
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--two-j", type=int, default=40)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    # the U(1) process runs first: a child starts from its parent's peak RSS
-    u1_code = (f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
-               f"from large_spin_timing import run_u1; print(run_u1({args.two_j}, {args.seed}))")
-    u1_line = subprocess.run([sys.executable, "-c", u1_code],
-                             check=True, capture_output=True, text=True).stdout
+    # the fresh processes run first: a child starts from its parent's peak RSS
+    u1_line = fresh(f"run_u1({args.two_j}, {args.seed})")
+    file_line = fresh(f"run_file({args.two_j})")
     print(run(args.two_j, args.seed))
-    print(u1_line, end="")
+    print(u1_line + file_line, end="")

@@ -8,12 +8,11 @@ the order the forms are read.  ``J = (E (x) I)|Om><Om|`` with ``|Om> = sum_i |ii
 sqrt(d_in)`` has unit trace on ``H_out (x) H_in``; the Liouville matrix of row-stacked
 vectors, ``L[ab, cd] = d_in J[ac, bd]``, is built from it on each read.
 
-Kraus operators give J by one product.  ``labels`` are their charges, one integer per
-index r * d_in + c (a Bohr frequency, or m_out - m_in): each operator's nonzero
-entries share one, and from 64 rows on the channel stores only J's label blocks, each
-the product of its label's operators.  A covariant channel can also be given as
-blocks, ``blocks=[(index, block), ...]``.  Unless J is one block, ``jamiolkowski`` is
-built on each read and never stored; the actions and the checks contract the blocks.
+Kraus operators give J = sum_k vec(K_k) vec(K_k)^dag / d_in, zero between indices r * d_in + c
+that no operator joins: from 64 rows on it is stored as the exact blocks of the components of
+the (operator, index) support graph, one product each; or J is given as ``blocks=[(index,
+block), ...]``.  An index is in at most one block, and in none it is a zero row of J.  Unless
+one block holds J whole, ``jamiolkowski`` is built on each read; the checks contract the blocks.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _liouville_from_jamiolkowski(j: np.ndarray, d_out: int, d_in: int) -> np.nda
     return _sealed(split.reshape(d_out**2, d_in**2) * d_in)
 
 
-#: a labelled J with fewer rows stays whole: one dense eigvalsh is cheaper there
+#: a Kraus-given J with fewer rows stays whole: one dense eigvalsh is cheaper there
 #: (2 cores, SU(2) J: 0.14-0.24 against 0.20-0.28 ms at 49 rows, 0.47-0.72 against 0.32-0.44 at 81)
 _BLOCKED_FROM = 64
 
@@ -74,50 +73,53 @@ def _kraus_from_blocks(blocks, d_out: int, d_in: int) -> list[np.ndarray]:
     return [_sealed(k.reshape(d_out, d_in)) for k in ks]
 
 
-def _blocks_from_kraus(v: np.ndarray, labels, d_in: int) -> tuple:
+def _blocks_from_kraus(v: np.ndarray, d_in: int) -> tuple:
     """J = sum_k vec(K_k) vec(K_k)^dag / d_in of the rows v[k] = vec(K_k) as (index, block)
-    pairs: whole, or with labels from _BLOCKED_FROM rows on, one product per label."""
-    index, n = [np.arange(v.shape[1])], v.shape[1]
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ValueError(f"labels must be {n} integers, one per Jamiolkowski index")
-        if not np.isfinite(v).all():  # NaN != 0 would otherwise read as a spanning entry
-            raise ChannelValidationError("channel representation has non-finite entries")
-        nonzero = v != 0
-        of = labels[nonzero.argmax(1)]
-        spans = nonzero & (labels != of[:, None])
-        if spans.any():
-            raise ChannelValidationError(
-                f"Kraus operator {spans.any(1).argmax()} spans different labels")
-        if n >= _BLOCKED_FROM:
-            order = np.argsort(labels, kind="stable")
-            index = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    parts = (v if len(index) == 1 else v[np.ix_(of == labels[i[0]], i)] for i in index)
-    return tuple((_sealed(i), _sealed(w.T @ w.conj() / d_in)) for i, w in zip(index, parts))
+    pairs: whole below _BLOCKED_FROM rows or when one operator touches every index, else one
+    product per component of the support graph, over the operators that touch it."""
+    n = v.shape[1]
+    index, parts = [np.arange(n)], [v]
+    if n >= _BLOCKED_FROM and not (nz := v != 0).all(1).any():
+        # min-label propagation, pointer jumping: comp[i], low[k] -> least index joined (n: none)
+        comp, last = np.arange(n), None
+        while not np.array_equal(comp, last):
+            low = np.minimum.reduce(np.broadcast_to(comp, nz.shape), axis=1, where=nz, initial=n)
+            last, comp = comp, np.minimum(comp, np.minimum.reduce(
+                np.broadcast_to(low[:, None], nz.shape), axis=0, where=nz, initial=n))
+            while not np.array_equal(comp[comp], comp):  # comp[i] <= i lies in i's component
+                comp = comp[comp]
+        index = [np.flatnonzero(comp == r) for r in np.unique(low[low < n])]  # r = i[0]
+        parts = (v[np.ix_(low == i[0], i)] for i in index)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 or overflow: validation reports
+        return tuple((_sealed(i), _sealed(w.T @ w.conj() / d_in)) for i, w in zip(index, parts))
 
 
 def _read_blocks(blocks, n: int) -> tuple:
-    """Read-only copies of the (index, block) pairs, once their shapes and cover pass."""
+    """Read-only copies of the (index, block) pairs, once their shapes and indices pass."""
     read = [(np.asarray(i), np.array(b, dtype=complex)) for i, b in blocks]
     for k, (i, b) in enumerate(read):
         if i.ndim != 1 or i.dtype.kind not in "iu" or b.shape != i.shape * 2 or not i.size:
             raise ValueError(f"block {k} is not an m x m array on m >= 1 integer indices")
-    if not np.array_equal(np.sort(np.concatenate([i for i, _ in read] or [[]])), np.arange(n)):
-        raise ValueError(f"block indices must cover 0..{n - 1} once each")
+    flat = np.concatenate([i for i, _ in read] or [np.arange(0)])
+    if np.any((flat < 0) | (flat >= n)) or np.unique(flat).size < flat.size:
+        raise ValueError(f"block indices must cover 0..{n - 1} once each at most")
     return tuple((_sealed(i.astype(np.intp)), _sealed(b)) for i, b in read)
 
 
+def _off_label_residual(blocks, labels: np.ndarray) -> float:
+    """max |J[r, s]| over the blocks with labels[r] != labels[s]: 0 iff J conserves the labels."""
+    return max([float(np.maximum.reduce(np.abs(b), axis=None, where=labels[i][:, None] != labels[i],
+                                        initial=0.0)) for i, b in blocks], default=0.0)
+
+
 class QuantumChannel:
-    """A CPTP map between a d_in- and a d_out-dimensional system.  ``blocks`` holds J as
-    read-only (index, block) pairs: the given or label blocks, or J whole."""
+    """A CPTP map between a d_in- and a d_out-dimensional system.  ``blocks`` holds J as read-only
+    (index, block) pairs: the given blocks, the Kraus operators' support blocks, or J whole."""
 
     def __init__(self, d_in: int, d_out: int, *, kraus=None, liouville=None,
-                 jamiolkowski=None, stinespring=None, labels=None, blocks=None):
+                 jamiolkowski=None, stinespring=None, blocks=None):
         if sum(x is not None for x in (kraus, liouville, jamiolkowski, stinespring, blocks)) != 1:
             raise ValueError("provide exactly one representation")
-        if labels is not None and kraus is None and stinespring is None:
-            raise ValueError("labels go only with Kraus operators or a Stinespring isometry")
         self.d_in = int(d_in)
         self.d_out = int(d_out)
         self._kraus = None
@@ -146,19 +148,20 @@ class QuantumChannel:
                     raise ValueError("Kraus operators must be d_out x d_in")
                 ks = _sealed(np.array(ks))
                 self._kraus = list(ks)
-                self.blocks = _blocks_from_kraus(ks.reshape(len(ks), n), labels, self.d_in)
+                self.blocks = _blocks_from_kraus(ks.reshape(len(ks), n), self.d_in)
             else:
                 self.blocks = ((_sealed(np.arange(n)), _sealed(j)),)
-        # one block not given as such is J whole, on the indices 0..n-1
-        self._jamiolkowski = self.blocks[0][1] if blocks is None and len(self.blocks) == 1 else None
+        # J whole is one block not given as such on all n indices, which are then 0..n-1
+        sizes = [len(i) for i, _ in self.blocks]
+        self._jamiolkowski = self.blocks[0][1] if blocks is None and sizes == [n] else None
         if not all(np.isfinite(b).all() for _, b in self.blocks):
             raise ChannelValidationError("channel representation has non-finite entries")
-        # validation: Hermiticity and positivity per checked block, trace preservation E_adj(I) = I
-        herm = max(float(np.max(np.abs(b - dagger(b)))) for _, b in self.blocks)
+        # validation per block: Hermitian, PSD (an index in none adds eigenvalue 0); E_adj(I) = I
+        herm = max([float(np.max(np.abs(b - dagger(b)))) for _, b in self.blocks], default=0.0)
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
-        self.cp_min_eig = min(float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
-                              for _, b in self.blocks)
+        self.cp_min_eig = min([float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
+                               for _, b in self.blocks] + [0.0] * (sum(sizes) < n))
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
@@ -177,7 +180,7 @@ class QuantumChannel:
 
     @property
     def jamiolkowski(self) -> np.ndarray:
-        """The dense J: stored when it is one block, else built from the blocks on each read."""
+        """The dense J: stored when one block holds it whole, else built on each read."""
         if self._jamiolkowski is not None:
             return self._jamiolkowski
         j = np.zeros((self.d_out * self.d_in,) * 2, dtype=complex)
@@ -187,19 +190,19 @@ class QuantumChannel:
 
     def jamiolkowski_blocks(self, indices) -> list:
         """``J[ix_(i, i)]`` for each index array i, gathered from the blocks that hold i."""
-        block_of, pos = np.empty((2, self.d_out * self.d_in), dtype=np.intp)
+        block_of, pos = np.full((2, self.d_out * self.d_in), -1)  # -1: in no block, a zero row
         for k, (i, _) in enumerate(self.blocks):
             block_of[i], pos[i] = k, np.arange(len(i))
         out = [np.zeros((len(i),) * 2, dtype=complex) for i in indices]
         for i, sub in zip(indices, out):
-            for k in set(block_of[i].tolist()):
+            for k in set(block_of[i].tolist()) - {-1}:
                 sel = np.flatnonzero(block_of[i] == k)
                 sub[np.ix_(sel, sel)] = self.blocks[k][1][np.ix_(pos[i[sel]], pos[i[sel]])]
         return out
 
     @property
     def kraus(self) -> list[np.ndarray]:
-        """The given Kraus operators, or else the eigendecomposition of J's label blocks."""
+        """The given Kraus operators, or else the eigendecomposition of J's blocks."""
         if self._kraus is None:
             self._kraus = _kraus_from_blocks(self.blocks, self.d_out, self.d_in)
         return self._kraus

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chan import QuantumChannel
+from .chan import QuantumChannel, _off_label_residual
 from .numkit import TOL, pair_labels
 from .su2rep import ItoBasis, SpinJ, check_ladder, coupled_labels, ito_basis, spin_operators
 
@@ -121,8 +121,7 @@ def extremal_kraus(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> list[np.ndarr
 
 def extremal_channel(spin_in: SpinJ, spin_out: SpinJ, two_l: int) -> QuantumChannel:
     """The extremal covariant channel E^L (Kraus rank 2L + 1)."""
-    return QuantumChannel(spin_in.dim, spin_out.dim, kraus=extremal_kraus(spin_in, spin_out, two_l),
-                          labels=pair_labels(spin_out.m_values(), spin_in.m_values()))
+    return QuantumChannel(spin_in.dim, spin_out.dim, kraus=extremal_kraus(spin_in, spin_out, two_l))
 
 
 def covariant_channel(mix: CovariantMixture) -> QuantumChannel:
@@ -140,10 +139,8 @@ def decompose(channel: QuantumChannel, spin_in: SpinJ, spin_out: SpinJ) -> Covar
     below that is an error, reported with the mass clipping would have discarded.
     """
     weights, state, j_blocks = _twirl_state(channel, spin_in, spin_out)
-    labels = pair_labels(spin_out.m_values(), spin_in.m_values())
-    res = max([float(np.max(np.abs(t - j))) for (_, t), j in zip(state, j_blocks)]
-              + [float(np.max(np.abs(b), where=labels[i][:, None] != labels[i], initial=0.0))
-                 for i, b in channel.blocks])
+    off = _off_label_residual(channel.blocks, pair_labels(spin_out.m_values(), spin_in.m_values()))
+    res = max([off] + [float(np.max(np.abs(t - j))) for (_, t), j in zip(state, j_blocks)])
     if res > TOL.tol_eq:
         raise ValueError(f"channel is not covariant: twirl residual {res:.2e}")
     if min(weights) < -TOL.tol_psd:

@@ -1,9 +1,8 @@
 """Time-translation covariant channels on a fixed non-degenerate spectrum.
 
 Energies live on an integer grid, so Bohr frequencies are exact integers.  A
-channel is given by Kraus operators that each carry one Bohr frequency E_m - E_n
-(the label of level pair (m, n)), so its Jamiolkowski state vanishes between
-pairs with different frequencies; the diagonal of the state is the
+channel is covariant iff its Jamiolkowski state vanishes between level pairs (m, n)
+with different frequencies E_m - E_n; the diagonal of the state is the
 population-transfer stochastic matrix.
 
 Input and output systems share the same dimension and spectrum.  The
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chan import QuantumChannel
+from .chan import ChannelValidationError, QuantumChannel, _off_label_residual
 from .numkit import TOL, pair_labels
 
 __all__ = [
@@ -110,16 +109,18 @@ def _population(spectrum: EnergySpectrum, pop) -> np.ndarray:
 
 
 class U1BlockChannel(QuantumChannel):
-    """A time-translation covariant channel on ``spectrum``, validated on construction: the
-    nonzero entries K[m, n] of each Kraus operator share one Bohr frequency E_m - E_n."""
+    """A time-translation covariant channel on ``spectrum``, validated on construction: after the
+    channel's own checks, J is zero to tol_eq between indices m * d + n of different E_m - E_n."""
 
     def __init__(self, spectrum: EnergySpectrum, kraus):
-        super().__init__(spectrum.d, spectrum.d, kraus=kraus, labels=spectrum.bohr_labels())
+        super().__init__(spectrum.d, spectrum.d, kraus=kraus)
+        if (res := _off_label_residual(self.blocks, spectrum.bohr_labels())) > TOL.tol_eq:
+            raise ChannelValidationError(f"not time-translation covariant: residual {res:.2e}")
         self.spectrum = spectrum
 
     def population_matrix(self) -> np.ndarray:
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""
-        diag = np.empty(self.d_in**2)  # d_in = d_out = spectrum.d
+        diag = np.zeros(self.d_in**2)  # d_in = d_out = spectrum.d; an index in no block is 0
         for index, block in self.blocks:
             diag[index] = np.real(np.diagonal(block))
         return self.d_in * diag.reshape(self.d_in, self.d_in)

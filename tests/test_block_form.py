@@ -223,9 +223,8 @@ def swap_in(k, entry):
 
 
 @pytest.mark.parametrize("edit, error, message", [
-    # the indices: overlapping, missing, out of range (blocks M = 2 .. -2 have 1, 2, 3, 2, 1)
+    # the indices: overlapping, out of range (blocks M = 2 .. -2 have 1, 2, 3, 2, 1)
     (lambda b: b.__setitem__(0, b[1]), ValueError, "cover 0..8 once each"),
-    (lambda b: b.pop(), ValueError, "cover 0..8 once each"),
     (swap_in(0, (np.array([9]), np.eye(1))), ValueError, "cover 0..8 once each"),
     (swap_in(0, (np.array([-1]), np.eye(1))), ValueError, "cover 0..8 once each"),
     # the block's shape, and its index's type
@@ -253,10 +252,28 @@ def test_malformed_blocks_give_one_line_errors(edit, error, message):
         assert not isinstance(err.value, ChannelValidationError)
 
 
-def test_blocks_take_no_labels():
-    d, blocks = covariant_blocks()
-    with pytest.raises(ValueError, match="^labels go only with Kraus operators or a Stinespring"):
-        QuantumChannel(d, d, blocks=blocks, labels=np.zeros(d * d, dtype=int))
+def test_an_index_in_no_block_is_a_zero_row():
+    # E^1 between spins 1 vanishes on index 4 (m_out = m_in = 0, up to round-off) and on the
+    # blocks M = +-2, indices 2 and 6: given without them, or with them padded with zeros,
+    # its blocks give one channel
+    spin = SpinJ(2)
+    blocks = covariant_channel(CovariantMixture(spin, spin, (0.0, 1.0, 0.0))).blocks
+    cut = [(i[keep], b[np.ix_(keep, keep)]) for i, b in blocks
+           for keep in [np.flatnonzero(np.max(np.abs(b), axis=1) > 1e-12)] if keep.size]
+    assert sorted(np.concatenate([i for i, _ in cut]).tolist()) == [0, 1, 3, 5, 7, 8]
+    short = QuantumChannel(spin.dim, spin.dim, blocks=cut)
+    j = short.jamiolkowski
+    padded = QuantumChannel(spin.dim, spin.dim, blocks=[(i, j[np.ix_(i, i)]) for i, _ in blocks])
+    assert np.array_equal(short.jamiolkowski, padded.jamiolkowski)
+    assert short.tp_residual == padded.tp_residual
+    assert abs(short.cp_min_eig - padded.cp_min_eig) <= TOL and short.cp_min_eig <= 0.0
+    rho = ginibre(spin.dim, spin.dim, 5)
+    assert gap(short.apply(rho), padded.apply(rho)) <= TOL
+    assert gap(short.apply_adjoint(rho), padded.apply_adjoint(rho)) <= TOL
+    assert abs(unitarity_jamiolkowski(short) - unitarity_jamiolkowski(padded)) <= TOL
+    assert gap(kron_liouville(short.kraus), padded.liouville) <= TOL
+    with pytest.raises(ValueError, match="^block indices must cover 0..8 once each at most$"):
+        QuantumChannel(spin.dim, spin.dim, blocks=cut + cut[:1])
 
 
 def test_covariant_pipeline_peaks_below_a_quarter_of_j():

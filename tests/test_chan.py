@@ -214,10 +214,11 @@ class TestValidation:
             QuantumChannel(2, 2, kraus=[ket0 @ ket0.T, ket1 @ ket0.T])
 
     def test_non_finite_kraus_rejected(self):
-        k = np.eye(2, dtype=complex)
-        k[0, 0] = np.nan
-        with pytest.raises(ChannelValidationError, match="non-finite"):
-            QuantumChannel(2, 2, kraus=[k])
+        for bad in (np.nan, np.inf, 1e200):  # inf * 0, 1e200**2 in J: an error, not a RuntimeWarning
+            k = np.eye(2, dtype=complex)
+            k[0, 0] = bad
+            with pytest.raises(ChannelValidationError, match="non-finite"):
+                QuantumChannel(2, 2, kraus=[k])
 
     def test_non_finite_jamiolkowski_rejected(self):
         j = identity_channel(2).jamiolkowski.copy()
@@ -270,7 +271,7 @@ class TestTraceResidual:
         lambda: QuantumChannel(2, 3, jamiolkowski=random_channel(2, 3, 4, 8).jamiolkowski),
         lambda: QuantumChannel(3, 2, liouville=random_channel(3, 2, 3, 9).liouville),
         lambda: extremal_channel(SpinJ(2), SpinJ(2), 2),
-        lambda: extremal_channel(SpinJ(7), SpinJ(9), 6),  # 80 rows: label blocks
+        lambda: extremal_channel(SpinJ(7), SpinJ(9), 6),  # 80 rows: support blocks
         lambda: extremal_channel(SpinJ(9), SpinJ(7), 4),
         lambda: covariant_channel(CovariantMixture(SpinJ(3), SpinJ(5), (0.2, 0.3, 0.1, 0.4))),
         lambda: covariant_channel(CovariantMixture(SpinJ(4), SpinJ(4), (0.1, 0.2, 0.3, 0.3, 0.1))),

@@ -259,10 +259,13 @@ class TestBuildExtremal:
 class TestU1BlockChannel:
     def test_rejects_coupling_of_different_frequencies(self):
         spec = EnergySpectrum((0, 1))
+        u = np.array([[np.cos(1e-4), -np.sin(1e-4)], [np.sin(1e-4), np.cos(1e-4)]])
+        with pytest.raises(ChannelValidationError, match=(
+                r"^not time-translation covariant: residual 5\.00e-05$")):
+            U1BlockChannel(spec, [u])  # a unitary: J's entries between frequencies are ~1e-4 / 2
         k = np.eye(2)
-        k[0, 1] = 1e-300  # Bohr labels 0 and -1 in one operator
-        with pytest.raises(ChannelValidationError, match="^Kraus operator 0 spans different"):
-            U1BlockChannel(spec, [k])
+        k[0, 1] = 1e-300  # in J it couples frequencies 0 and -1 by 5e-301, far below tol_eq
+        assert U1BlockChannel(spec, [k]).tp_residual < 1e-15
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="Kraus operators must be d_out x d_in"):

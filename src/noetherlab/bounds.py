@@ -9,6 +9,7 @@ can log near-misses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,7 @@ def u1_cap(d: int, g: int, width: int, delta, u) -> BoundCheck:
 
     ``delta`` and ``u`` may be scalars or arrays of one shape.
     """
-    coeff = g * (d - g) / (d - 1) * np.sqrt(2.0 / (d * (d + 1))) / width
+    coeff = g * (d - g) / (d - 1) * math.sqrt(2.0 / (d * (d + 1))) / width
     return BoundCheck.of("u1_unitarity_upper", u, 1.0 - coeff * np.sqrt(delta))
 
 

@@ -1,7 +1,7 @@
 """Quantum channels in five interconvertible representations.
 
-A channel is validated once (CP on the blocks of its Jamiolkowski state J, TP as the one
-contraction of J with I that is E_adj(I)) and is immutable afterwards: it copies the
+A channel is validated once (finite, Hermitian and CP in one pass over each block of its
+Jamiolkowski state J, TP as tr_out J = E_adj(I) / d_in) and is immutable afterwards: it copies the
 given form, and each form it stores is read-only.  J, as (index, block) pairs, is the
 one internal form; every form not given is derived from it, so no number depends on
 the order the forms are read.  ``J = (E (x) I)|Om><Om|`` with ``|Om> = sum_i |ii> /
@@ -13,6 +13,8 @@ that no operator joins: from 64 rows on it is stored as the exact blocks of the 
 the (operator, index) support graph, one product each; or J is given as ``blocks=[(index,
 block), ...]``.  An index is in at most one block, and in none it is a zero row of J.  Unless
 one block holds J whole, ``jamiolkowski`` is built on each read; the checks contract the blocks.
+Contracting with I (the TP check; E(I/d_in) = tr_in J) reads only entries of equal source index,
+the diagonal of a U(1) or SU(2) label block: a partial trace of J whole, or those of each block.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 
 import numpy as np
 
-from .numkit import TOL, dagger, haar_isometry
+from .numkit import TOL, haar_isometry
 
 __all__ = [
     "ChannelValidationError",
@@ -88,7 +90,8 @@ def _blocks_from_kraus(v: np.ndarray, d_in: int) -> tuple:
                 np.broadcast_to(low[:, None], nz.shape), axis=0, where=nz, initial=n))
             while not np.array_equal(comp[comp], comp):  # comp[i] <= i lies in i's component
                 comp = comp[comp]
-        index = [np.flatnonzero(comp == r) for r in np.unique(low[low < n])]  # r = i[0]
+        hit = np.flatnonzero(nz.any(0))[np.argsort(comp[nz.any(0)], kind="stable")]  # by comp
+        index = np.split(hit, np.flatnonzero(np.diff(comp[hit])) + 1)  # comp = i[0] on each
         parts = (v[np.ix_(low == i[0], i)] for i in index)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 or overflow: validation reports
         return tuple((_sealed(i), _sealed(w.T @ w.conj() / d_in)) for i, w in zip(index, parts))
@@ -154,19 +157,28 @@ class QuantumChannel:
         # J whole is one block not given as such on all n indices, which are then 0..n-1
         sizes = [len(i) for i, _ in self.blocks]
         self._jamiolkowski = self.blocks[0][1] if blocks is None and sizes == [n] else None
-        if not all(np.isfinite(b).all() for _, b in self.blocks):
-            raise ChannelValidationError("channel representation has non-finite entries")
-        # validation per block: Hermitian, PSD (an index in none adds eigenvalue 0); E_adj(I) = I
-        herm = max([float(np.max(np.abs(b - dagger(b)))) for _, b in self.blocks], default=0.0)
+        # one pass per block in one work array w: finite, |b - b^dag|, then, while all are
+        # Hermitian, eigvalsh((b + b^dag) / 2); an index in no block adds eigenvalue 0; E_adj(I) = I
+        herm, eigs = 0.0, [0.0] * (sum(sizes) < n)
+        for _, b in self.blocks:
+            if not np.isfinite(b).all():
+                raise ChannelValidationError("channel representation has non-finite entries")
+            w = np.conjugate(b.T, out=np.empty(b.shape, dtype=complex))  # C order: ravel is a view
+            np.subtract(b, w, out=w)
+            herm = max(herm, float(np.abs(w.ravel(), out=w.ravel().real).max()))
+            if herm <= TOL.tol_herm:
+                np.add(b, np.conjugate(b.T, out=w), out=w)
+                w /= 2
+                eigs.append(float(np.linalg.eigvalsh(w)[0]))
         if herm > TOL.tol_herm:
             raise ChannelValidationError(f"Jamiolkowski state not Hermitian (residual {herm:.2e})")
-        self.cp_min_eig = min([float(np.linalg.eigvalsh((b + dagger(b)) / 2)[0])
-                               for _, b in self.blocks] + [0.0] * (sum(sizes) < n))
+        self.cp_min_eig = min(eigs)
         if self.cp_min_eig < -TOL.tol_psd:
             raise ChannelValidationError(
                 f"not completely positive: min Jamiolkowski eigenvalue {self.cp_min_eig:.2e}")
-        unital_in = self.d_in * self._contract(np.eye(self.d_out), True) - np.eye(self.d_in)
-        self.tp_residual = float(np.max(np.abs(unital_in))) / self.d_in
+        unital_in = self.d_in * self._contract_identity(True)
+        unital_in.reshape(-1)[::self.d_in + 1] -= 1
+        self.tp_residual = float(abs(unital_in).max()) / self.d_in
         if self.tp_residual > TOL.tol_eq:
             raise ChannelValidationError(
                 f"not trace preserving: marginal residual {self.tp_residual:.2e}")
@@ -229,6 +241,19 @@ class QuantumChannel:
         for index, block in self.blocks:
             dst, src = np.divmod(index, self.d_in)[::-1 if to_in else 1]
             np.add.at(out, (dst[:, None], dst), block * x[np.ix_(src, src)])
+        return out
+
+    def _contract_identity(self, to_in: bool) -> np.ndarray:
+        """``_contract(I, to_in)``, bit for bit, from the entries of J with equal source index:
+        tr_out J (= E_adj(I) / d_in) when ``to_in``, else tr_in J = E(I / d_in)."""
+        if self._jamiolkowski is not None:  # J whole: one einsum on its 4-index view
+            j = self._jamiolkowski.reshape((self.d_out, self.d_in) * 2)
+            return np.einsum("acad->cd" if to_in else "acbc->ab", j)
+        out = np.zeros((self.d_in,) * 2 if to_in else (self.d_out,) * 2, dtype=complex)
+        for index, block in self.blocks:
+            dst, src = np.divmod(index, self.d_in)[::-1 if to_in else 1]
+            r, s = np.nonzero(src[:, None] == src)
+            np.add.at(out, (dst[r], dst[s]), block[r, s])
         return out
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .su2rep import SpinJ
 __all__ = ["MAX_SWEEP_CELLS", "TradeoffSweep", "main", "simplex_grid", "su2_tradeoff_records",
            "u1_tradeoff_records"]
 
+_MC_SIGMAS = 5.0  # MC error bars in verify: ~6e-7 false alarms per check (at 3, 4 of seeds 0-599)
 _CSV_TAIL = ["delta", "sqrt_delta", "unitarity", "one_minus_u", "bound_lower", "bound_upper", "ok"]
 
 
@@ -227,13 +228,13 @@ def _check_mc_agreement(rng: np.random.Generator, samples: int) -> dict:
     seed = int(rng.integers(2**63))
     est_u = mcoracle.mc_unitarity(e1, samples, seed)
     est_d = mcoracle.mc_deviation(e1, gens, samples, seed + 1)
-    ok_u = est_u.within(1.0 / 9.0)
-    ok_d = est_d.within(4.0 / 9.0)
+    ok_u = est_u.within(1.0 / 9.0, _MC_SIGMAS)  # zero variance: these two are held to 1e-12
+    ok_d = est_d.within(4.0 / 9.0, _MC_SIGMAS)
     e = random_channel(3, 2, 2, rng)
     exact = metrics.unitarity_jamiolkowski(e)
     dual = abs(exact - metrics.unitarity_complementary(e))
     est_r = mcoracle.mc_unitarity(e, samples, seed + 2)
-    ok_r = est_r.within(exact) and dual < 1e-10
+    ok_r = est_r.within(exact, _MC_SIGMAS) and dual < 1e-10
     return {"name": "monte_carlo_vs_closed_form", "passed": bool(ok_u and ok_d and ok_r),
             "detail": f"u_hat={est_u.mean:.6f} delta_hat={est_d.mean:.6f} dual_gap={dual:.2e}"}
 

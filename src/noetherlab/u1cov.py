@@ -42,7 +42,7 @@ def _real(x) -> bool:
 @dataclass(frozen=True)
 class EnergySpectrum:
     """Two or more strictly increasing integer levels of a non-degenerate Hamiltonian; its
-    Bohr labels, frequencies and degeneracy are computed once, at construction."""
+    Bohr labels, frequencies, degeneracy and float energies are computed once, at construction."""
 
     levels: tuple
 
@@ -55,12 +55,13 @@ class EnergySpectrum:
         lv = tuple(int(x) for x in lv)
         if len(lv) < 2 or any(b <= a for a, b in zip(lv, lv[1:])):
             raise ValueError("levels must be two or more strictly increasing integers")
-        labels = pair_labels(lv, lv)
-        labels.flags.writeable = False
+        labels, energies = pair_labels(lv, lv), np.array(lv, dtype=float)
+        labels.flags.writeable = energies.flags.writeable = False
         tally = Counter(labels.tolist())
         # plain attributes, not fields: equality and hash read the levels only
         self.__dict__.update(levels=lv, _labels=labels, _frequencies=sorted(tally),
-                             _degeneracy=max(n for b, n in tally.items() if b != 0))
+                             _degeneracy=max(n for b, n in tally.items() if b != 0),
+                             _energies=energies)
 
     @property
     def d(self) -> int:
@@ -88,6 +89,10 @@ def assert_stochastic(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError("population matrix must be square")
+    # three reductions pass a float stack (a NaN fails each); any other input replays the checks
+    if (p.dtype.kind == "f" and p.min(initial=0.0) >= -TOL.tol_eq and p.max(initial=1.0)
+            <= 1.0 + TOL.tol_eq and abs(p.sum(axis=-2) - 1.0).max(initial=0.0) <= TOL.tol_eq):
+        return
     if not np.isfinite(p).all():
         raise ValueError("population matrix has non-finite entries")
     if (p < -TOL.tol_eq).any():
@@ -122,7 +127,7 @@ class U1BlockChannel(QuantumChannel):
         """P[m, n]: probability of the n-th energy eigenstate mapping to the m-th."""
         diag = np.zeros(self.d_in**2)  # d_in = d_out = spectrum.d; an index in no block is 0
         for index, block in self.blocks:
-            diag[index] = np.real(np.diagonal(block))
+            diag[index] = block.diagonal().real
         return self.d_in * diag.reshape(self.d_in, self.d_in)
 
 
@@ -137,10 +142,13 @@ def build_extremal(spectrum: EnergySpectrum, gamma: np.ndarray,
     the form a JSON spec gives.  Missing phases are 0; a phase for a pair
     absent from the block basis is an error.
     """
-    # as objects, so that True, "0.5" or None are not read as numbers
-    bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
-    if bad:
-        raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
+    # a float array below 2**53 passes whole; else entry by entry, as objects, so that True, "0.5"
+    # or None are not read as numbers
+    if not (isinstance(gamma, np.ndarray) and gamma.dtype.kind == "f"
+            and abs(gamma).max(initial=0.0) < 2**53):
+        bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
+        if bad:
+            raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
     gamma = _population(spectrum, gamma)
     if gamma.ndim != 2:
         raise ValueError(f"expected one population matrix, got shape {gamma.shape}")
@@ -223,11 +231,11 @@ def u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
 
 def _u1_deviation(spectrum: EnergySpectrum, pop: np.ndarray):
     """:func:`u1_deviation` of a population matrix (or stack) known to be stochastic."""
-    e = np.asarray(spectrum.levels, dtype=float)
+    e = spectrum._energies
     d = spectrum.d
     # diagonal of dH: sum_m P[m, n] (E_m - E_n) per input level n
-    drift = np.swapaxes(pop, -1, -2) @ e - e
+    drift = pop.swapaxes(-1, -2) @ e - e
     total = drift.sum(axis=-1)
     # total * total, not total ** 2, so one matrix and a stack round alike
-    dev = (total * total + np.sum(drift**2, axis=-1)) / (d * (d + 1))
+    dev = (total * total + (drift * drift).sum(axis=-1)) / (d * (d + 1))
     return float(dev) if pop.ndim == 2 else dev

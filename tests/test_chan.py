@@ -251,6 +251,22 @@ class TestValidation:
             call()
         assert "\n" not in str(err.value)
 
+    def test_each_block_is_checked_once_in_the_old_order(self):
+        # finiteness of every block comes before Hermiticity, whose residual is the largest of
+        # all blocks, before complete positivity
+        skew = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)  # residual 0.5
+        wide = np.array([[0.5, 2.0], [0.0, -0.5]], dtype=complex)  # residual 2, not PSD
+
+        def blocks(*bs):
+            return [(np.arange(2 * k, 2 * k + 2), b) for k, b in enumerate(bs)]
+
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            QuantumChannel(2, 2, blocks=blocks(skew, np.full((2, 2), np.nan)))
+        with pytest.raises(ChannelValidationError, match=r"not Hermitian \(residual 2.00e\+00\)"):
+            QuantumChannel(2, 2, blocks=blocks(skew, wide))
+        with pytest.raises(ChannelValidationError, match=r"eigenvalue -5.00e-01"):
+            QuantumChannel(2, 2, blocks=blocks(np.eye(2) / 2, np.diag([0.5, -0.5])))
+
     def test_apply_output_is_density_matrix(self):
         rng = np.random.default_rng(3)
         e = random_channel(3, 4, 2, rng)
@@ -282,6 +298,12 @@ class TestTraceResidual:
         gap = np.max(np.abs(ch.apply_adjoint(np.eye(ch.d_out)) - np.eye(ch.d_in))) / ch.d_in
         assert ch.tp_residual == float(gap)
 
+    def test_whole_j_is_validated_in_one_work_array(self):
+        # J is copied once, and one n x n work array per block holds |b - b^dag|, then
+        # (b + b^dag) / 2 for eigvalsh
+        j = np.array(extremal_channel(SpinJ(20), SpinJ(20), 20).jamiolkowski)
+        assert peak_bytes(lambda: QuantumChannel(21, 21, jamiolkowski=j)) <= 2.1 * j.nbytes
+
     def test_liouville_input_is_copied_once(self):
         # the Liouville matrix converts to a new J, which is kept without a second copy
         ch = extremal_channel(SpinJ(20), SpinJ(20), 20)
@@ -289,6 +311,76 @@ class TestTraceResidual:
         from_j = peak_bytes(lambda: QuantumChannel(21, 21, jamiolkowski=j))
         from_lv = peak_bytes(lambda: QuantumChannel(21, 21, liouville=lv))
         assert from_lv <= 1.05 * from_j
+
+
+@st.composite
+def grouped_isometries(draw):
+    """Kraus operators sending each group G of a random partition of the input levels
+    isometrically into a random set H of output levels, with n = d_out * d_in >= 64 rows so
+    that J is split: each H x G is one dense component, whose entries off the diagonal share
+    an output or an input level (any labels); the indices (o, i) with i in G, o not in H are
+    in no block."""
+    d_in = draw(st.integers(6, 12))
+    d_out = draw(st.integers(-(-64 // d_in), 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, d_in), draw(st.integers(0, 3)), replace=False))
+    ks = []
+    for group in np.split(rng.permutation(d_in), cuts):
+        h = int(rng.integers(1, d_out + 1))
+        outs, env = rng.choice(d_out, h, replace=False), -(-len(group) // h)
+        v = haar_isometry(h * env, len(group), rng).reshape(h, env, len(group))
+        for e in range(env):
+            k = np.zeros((d_out, d_in), dtype=complex)
+            k[np.ix_(outs, group)] = v[:, e]
+            ks.append(k)
+    return d_in, d_out, ks
+
+
+def regrouped(ch: QuantumChannel, rng) -> QuantumChannel:
+    """``ch`` given as blocks that join its blocks at random, each on shuffled indices."""
+    j = ch.jamiolkowski
+    order = rng.permutation(len(ch.blocks))
+    joined = [np.concatenate([ch.blocks[k][0] for k in part])
+              for part in np.array_split(order, max(1, len(order) // 2))]
+    return QuantumChannel(ch.d_in, ch.d_out, blocks=[
+        (i, j[np.ix_(i, i)]) for i in (rng.permutation(i) for i in joined)])
+
+
+class TestIdentityContraction:
+    """The identity contraction reads only the entries of J with equal source index, and is
+    ``_contract`` of I bit for bit, so tp_residual is the adjoint's marginal gap."""
+
+    @given(grouped_isometries(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_contraction_of_i_on_every_form(self, drawn, seed):
+        d_in, d_out, ks = drawn
+        split = QuantumChannel(d_in, d_out, kraus=ks)
+        whole = QuantumChannel(d_in, d_out, jamiolkowski=split.jamiolkowski)
+        for ch in (split, whole, regrouped(split, np.random.default_rng(seed))):
+            for to_in, eye in ((True, np.eye(d_out)), (False, np.eye(d_in))):
+                assert np.array_equal(ch._contract_identity(to_in), ch._contract(eye, to_in))
+            gap = np.max(np.abs(ch.apply_adjoint(np.eye(d_out)) - np.eye(d_in))) / d_in
+            assert ch.tp_residual == float(gap)
+            uncovered = sum(len(i) for i, _ in ch.blocks) < d_in * d_out
+            assert ch.cp_min_eig == min([np.linalg.eigvalsh((b + dagger(b)) / 2)[0]
+                                         for _, b in ch.blocks] + [0.0] * uncovered)
+
+    @pytest.mark.parametrize("form", ["jamiolkowski", "blocks"])
+    def test_reads_entries_off_the_diagonal(self, form):
+        # J = I (x) rho / 2 has tr_out J = rho, whose off-diagonal 0.1 comes from entries of J
+        # off its diagonal with equal output index: the TP check must see them
+        rho = np.array([[0.5, 0.1], [0.1, 0.5]])
+        j = np.kron(np.eye(2), rho) / 2
+        given = {"jamiolkowski": j, "blocks": [(np.arange(4), j)]}[form]
+        with pytest.raises(ChannelValidationError, match="marginal residual 1.00e-01"):
+            QuantumChannel(2, 2, **{form: given})
+        # and E(I/d_in) = tr_in J of a random channel is not diagonal
+        ch = random_channel(3, 2, 2, 11)
+        if form == "blocks":
+            ch = QuantumChannel(3, 2, blocks=[(np.arange(6), ch.jamiolkowski)])
+        e_mixed = ch._contract_identity(False)
+        assert abs(e_mixed[0, 1]) > 1e-3
+        assert np.allclose(e_mixed, ch.apply(np.eye(3) / 3), rtol=0, atol=1e-15)
 
 
 class TestAdjoint:

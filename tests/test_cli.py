@@ -403,6 +403,28 @@ class TestVerify:
         checks = {c["name"]: c for c in cli.run_verification(42, 1000)["checks"]}
         assert not checks["channel_representation_roundtrip"]["passed"]
 
+    @staticmethod
+    def mc_check(seed: int, samples: int = 100_000) -> dict:
+        """The Monte Carlo check of ``run_verification(seed, samples)``, on its own stream."""
+        stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[1])
+        return cli._check_mc_agreement(stream, samples)
+
+    @pytest.mark.parametrize("seed", [336, 449, 492, 562])
+    def test_monte_carlo_check_passes_seeds_past_3_sigma(self, seed):
+        # at 3 standard errors these four of the seeds 0-599 failed on a correct program
+        # (z = 3.12, -3.11, 3.35, -3.15); at 5 a chance failure is ~6e-7 per comparison
+        assert self.mc_check(seed)["passed"]
+
+    @pytest.mark.parametrize("seed", [3, 336])
+    def test_monte_carlo_check_fails_a_reference_moved_by_2_percent(self, monkeypatch, seed):
+        # 2 % of the random channel's unitarity is ~11 standard errors at 100,000 samples; both
+        # routes are moved alike, so the dual gap stays 0 and only the MC comparison can fail
+        exact = metrics.unitarity_jamiolkowski
+        monkeypatch.setattr(metrics, "unitarity_jamiolkowski", lambda ch: 1.02 * exact(ch))
+        monkeypatch.setattr(metrics, "unitarity_complementary", lambda ch: 1.02 * exact(ch))
+        check = self.mc_check(seed)
+        assert not check["passed"] and "dual_gap=0.00e+00" in check["detail"]
+
     def test_report_bytes_deterministic(self):
         _, a, _ = run_cli("verify", "all", "--seed", "42", "--samples", "1000")
         _, b, _ = run_cli("verify", "all", "--seed", "42", "--samples", "1000")

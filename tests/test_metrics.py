@@ -189,7 +189,8 @@ class TestQubitIdentity:
 
 
 class TestMaximallyMixedOutput:
-    """E(I/d_in) = tr_in J, which both unitarity routes read as ``apply(I/d_in)``.  A covariant
+    """E(I/d_in) = tr_in J, which both unitarity routes read by the channel's identity
+    contraction, and ``apply(I/d_in)`` gives within round-off.  A covariant
     SU(2) channel maps I/d to I/d_out, which the partial trace over the output factor also
     gives, so random channels with d_in != d_out in both directions are what tell the two
     factors apart."""
@@ -204,6 +205,21 @@ class TestMaximallyMixedOutput:
         got = ch.apply(np.eye(d_in) / d_in)
         assert got.shape == (d_out, d_out)
         assert np.max(np.abs(got - tr_in)) <= 1e-15
+
+    @pytest.mark.parametrize("d_in, d_out, rank", [(2, 3, 1), (3, 2, 2), (2, 5, 3), (4, 3, 2),
+                                                   (5, 2, 4), (3, 3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unitarity_reads_tr_in_j_as_apply_gives_it(self, d_in, d_out, rank, seed):
+        # tr_in J and d_in * (J contracted with I/d_in) round apart in the last bit at most,
+        # and not at all for d_in = 2, where I/2 scales by a power of two
+        ch = random_channel(d_in, d_out, rank, seed)
+        via_apply = d_in / (d_in**2 - 1) * (
+            d_in * sum(purity(b) for _, b in ch.blocks) - purity(ch.apply(np.eye(d_in) / d_in)))
+        u = unitarity_jamiolkowski(ch)
+        assert abs(u - via_apply) <= 1e-15
+        assert u == via_apply or d_in != 2
+        assert purity_condition_holds(ch) == (
+            purity(ch.apply(np.eye(d_in) / d_in)) >= 1.0 / d_in - 1e-12)
 
     def test_unitarity_derives_no_liouville_matrix(self):
         # the channel holds what it held before: no derived form is stored

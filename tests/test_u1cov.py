@@ -11,9 +11,11 @@ from noetherlab.chan import (
     max_action_deviation,
 )
 from noetherlab.metrics import deviation_avg, u1_generators, unitarity_jamiolkowski
+from noetherlab.numkit import TOL
 from noetherlab.u1cov import (
     EnergySpectrum,
     U1BlockChannel,
+    _real,
     assert_stochastic,
     build_extremal,
     optimal_unitarity_for_population,
@@ -144,6 +146,84 @@ class TestPopulationSize:
     def test_build_extremal_rejects_a_stack(self):
         with pytest.raises(ValueError, match=r"one population matrix, got shape \(3, 2, 2\)"):
             build_extremal(EnergySpectrum((0, 1)), np.stack([np.eye(2)] * 3))
+
+
+def reference_assert_stochastic(p) -> None:
+    """Every check of a population matrix in its order, one reduction each: the oracle of the
+    messages assert_stochastic gives after its one-pass test fails."""
+    p = np.asarray(p)
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
+        raise ValueError("population matrix must be square")
+    if not np.isfinite(p).all():
+        raise ValueError("population matrix has non-finite entries")
+    if (p < -TOL.tol_eq).any():
+        raise ValueError("population matrix has negative entries")
+    if (p > 1.0 + TOL.tol_eq).any():
+        raise ValueError("population matrix has entries above 1")
+    if (abs(p.sum(axis=-2) - 1.0) > TOL.tol_eq).any():
+        raise ValueError("population matrix columns must sum to 1")
+
+
+def reference_build_check(gamma) -> None:
+    """build_extremal's checks of gamma with every entry scanned as an object first."""
+    bad = [x for x in np.asarray(gamma, dtype=object).ravel() if not _real(x)]
+    if bad:
+        raise ValueError(f"population matrix entry {bad[0]!r} is not a real number below 2**53")
+    reference_assert_stochastic(np.asarray(gamma, dtype=float))
+
+
+def outcome(fn, *args):
+    """(type, message) of what ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as err:  # any type: the type and message are what is compared
+        return type(err), str(err)
+    return None
+
+
+STRANGER = object()
+POPULATIONS = {
+    "nan": [[np.nan, 0.5], [1.0, 0.5]],
+    "inf": [[np.inf, 0.5], [0.0, 0.5]],
+    "minus_inf": [[-np.inf, 0.5], [1.0, 0.5]],
+    "1e300": [[1e300, 0.5], [0.0, 0.5]],
+    "minus_tol_eq": [[-TOL.tol_eq, 0.5], [1.0 + TOL.tol_eq, 0.5]],
+    "below_minus_tol_eq": [[-2 * TOL.tol_eq, 0.5], [1.0 + 2 * TOL.tol_eq, 0.5]],
+    "negative_and_above_1": [[1.5, 0.5], [-0.5, 0.5]],
+    "bad_sum": [[0.7, 0.5], [0.2, 0.5]],
+    "bool": [[True, 0.5], [False, 0.5]],
+    "string": [["0.5", 0.5], ["0.5", 0.5]],
+    "none": [[None, 0.5], [1.0, 0.5]],
+    "object": [[STRANGER, 0.5], [1.0, 0.5]],
+    "2**53": [[2**53, 0.5], [0, 0.5]],
+    "stochastic": [[0.25, 0.5], [0.75, 0.5]],
+}
+CONTAINERS = {"list": lambda m: m, "array": np.array,
+              "object_array": lambda m: np.array(m, dtype=object)}
+
+
+class TestCheckMessages:
+    """The one-pass tests of build_extremal and assert_stochastic keep every message."""
+
+    @pytest.mark.parametrize("container", CONTAINERS)
+    @pytest.mark.parametrize("name", POPULATIONS)
+    def test_build_extremal_as_before(self, name, container):
+        gamma = CONTAINERS[container](POPULATIONS[name])
+        want = outcome(reference_build_check, gamma)
+        assert outcome(build_extremal, EnergySpectrum((0, 1)), gamma) == want
+
+    @pytest.mark.parametrize("container", CONTAINERS)
+    @pytest.mark.parametrize("name", POPULATIONS)
+    def test_assert_stochastic_as_before(self, name, container):
+        p = CONTAINERS[container](POPULATIONS[name])
+        assert outcome(assert_stochastic, p) == outcome(reference_assert_stochastic, p)
+
+    @pytest.mark.parametrize("p", [
+        np.zeros((0, 2, 2)), np.stack([np.eye(2), [[0.5, 1.0], [0.5, 0.0]]]),
+        np.stack([np.eye(2), [[0.5, 1.0], [0.5, -1e-8]]]), np.eye(3, dtype=int), np.eye(2) + 0j,
+        np.ones((2, 3)), np.array([0.5, 0.5])])
+    def test_stacks_and_dtypes_as_before(self, p):
+        assert outcome(assert_stochastic, p) == outcome(reference_assert_stochastic, p)
 
 
 class TestBuildExtremal:
